@@ -30,8 +30,10 @@ vet-custom:
 equiv:
 	@go run ./cmd/tmi3d equiv -all
 
-# PPA-as-a-service daemon on :8080 with a local persistent store
-# (see internal/serve and the serving-layer section of DESIGN.md).
+# PPA-as-a-service daemon on :8080; every flow runs through the staged
+# engine over the local store, which holds per-stage artifacts (the report
+# artifact is the /v1/ppa payload) and experiment renders (see internal/serve
+# and the serving-layer section of DESIGN.md).
 serve:
 	go run ./cmd/tmi3d serve -addr 127.0.0.1:8080 -store tmi3d-store
 

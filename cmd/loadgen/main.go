@@ -11,7 +11,7 @@
 //	loadgen -addr 127.0.0.1:8080 -workers 64 -n 256 -scale 0.1 -verify
 //
 // With -sweep N the tool instead issues N sequential clock-sweep points of
-// one configuration against a daemon running with -stagecache, then asserts
+// one configuration against a daemon, then asserts
 // from /metrics that synthesis and placement executed exactly once across the
 // whole sweep — the staged engine's reuse contract, observed end to end.
 package main
@@ -47,7 +47,7 @@ func main() {
 	cold := flag.Float64("cold", 0, "fraction of requests with a unique seed (cold keys), 0..1")
 	verify := flag.Bool("verify", false, "check responses byte-identical to direct flow.Run output")
 	check := flag.Bool("check", false, "also probe /healthz and /metrics and assert they are sane")
-	sweep := flag.Int("sweep", 0, "clock-sweep mode: issue this many sequential sweep points and assert synth/place executed once (daemon must run with -stagecache; needs an otherwise idle daemon)")
+	sweep := flag.Int("sweep", 0, "clock-sweep mode: issue this many sequential sweep points and assert from the daemon's stage metrics that synth/place executed once (needs an otherwise idle daemon)")
 	timeout := flag.Duration("timeout", 10*time.Minute, "per-request client timeout")
 	flag.Parse()
 	log.SetFlags(0)
@@ -175,13 +175,9 @@ func sweepRun(client *http.Client, addr string, urlFor func(flow.Config) string,
 		log.Printf("sweep: %v", err)
 		return 1
 	}
-	before, found, err := stageExecutions(client, addr)
+	before, err := stageExecutions(client, addr)
 	if err != nil {
 		log.Printf("sweep: scrape: %v", err)
-		return 1
-	}
-	if !found {
-		log.Printf("sweep: daemon exports no tmi3d_stage_executions_total — run `tmi3d serve` with -stagecache")
 		return 1
 	}
 	failures := 0
@@ -211,7 +207,7 @@ func sweepRun(client *http.Client, addr string, urlFor func(flow.Config) string,
 			failures++
 		}
 	}
-	after, _, err := stageExecutions(client, addr)
+	after, err := stageExecutions(client, addr)
 	if err != nil {
 		log.Printf("sweep: scrape: %v", err)
 		return failures + 1
@@ -235,26 +231,20 @@ func sweepRun(client *http.Client, addr string, urlFor func(flow.Config) string,
 	return failures
 }
 
-// stageExecutions scrapes tmi3d_stage_executions_total by stage. found
-// reports whether the daemon exports the family at all (it only exists under
-// -stagecache).
-func stageExecutions(client *http.Client, addr string) (map[string]float64, bool, error) {
+// stageExecutions scrapes tmi3d_stage_executions_total by stage.
+func stageExecutions(client *http.Client, addr string) (map[string]float64, error) {
 	resp, err := client.Get("http://" + addr + "/metrics")
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	body, rerr := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if rerr != nil || resp.StatusCode != 200 {
-		return nil, false, fmt.Errorf("metrics status %d", resp.StatusCode)
+		return nil, fmt.Errorf("metrics status %d", resp.StatusCode)
 	}
 	const family = "tmi3d_stage_executions_total"
 	out := map[string]float64{}
-	found := false
 	for _, line := range strings.Split(string(body), "\n") {
-		if strings.HasPrefix(line, "# TYPE "+family+" ") {
-			found = true
-		}
 		rest, ok := strings.CutPrefix(line, family+`{stage="`)
 		if !ok {
 			continue
@@ -265,11 +255,11 @@ func stageExecutions(client *http.Client, addr string) (map[string]float64, bool
 		}
 		f, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
 		if err != nil {
-			return nil, found, fmt.Errorf("bad sample %q: %w", line, err)
+			return nil, fmt.Errorf("bad sample %q: %w", line, err)
 		}
 		out[name] = f
 	}
-	return out, found, nil
+	return out, nil
 }
 
 // verifyDirect re-runs every unique configuration in-process and compares the
@@ -291,7 +281,7 @@ func verifyDirect(responses map[string][]byte, cfgs []flow.Config) int {
 			failures++
 			continue
 		}
-		want, err := serve.EncodeResult(r)
+		want, err := flow.EncodeResult(r)
 		if err != nil {
 			log.Printf("verify: encode: %v", err)
 			failures++

@@ -15,16 +15,15 @@ import (
 )
 
 // serveMain runs the PPA daemon: `tmi3d serve -addr :8080 -store ./store`.
-// SIGINT/SIGTERM trigger a graceful drain — in-flight flows finish and land
-// in the persistent store before the process exits.
+// Every flow runs through the stage engine over the store, so sweep points
+// reuse the stages they share. SIGINT/SIGTERM trigger a graceful drain —
+// in-flight flows finish and land in the store before the process exits.
 func serveMain(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:8080", "listen address (host:port; port 0 picks an ephemeral port)")
-	store := fs.String("store", "tmi3d-store", "persistent result store directory")
-	stageDir := fs.String("stagecache", "", "staged-flow artifact store directory; jobs reuse per-stage artifacts across sweep points (empty = monolithic flow)")
+	store := fs.String("store", "tmi3d-store", "persistent store directory: per-stage flow artifacts (the report artifact is the /v1/ppa payload) and experiment renders")
 	workers := fs.Int("workers", 0, "concurrent flow executions (0 = GOMAXPROCS)")
 	queue := fs.Int("queue", 0, "admission queue depth before 429 (0 = 64)")
-	lru := fs.Int("lru", 0, "in-memory cache entries (0 = 256)")
 	timeout := fs.Duration("timeout", 0, "per-request deadline (0 = 15m)")
 	maxScale := fs.Float64("max-scale", 1.0, "largest circuit scale the daemon will compute")
 	addrFile := fs.String("addrfile", "", "write the bound address to this file once listening (for scripts using port 0)")
@@ -33,10 +32,8 @@ func serveMain(args []string) {
 
 	s, err := serve.NewServer(serve.Config{
 		StoreDir:       *store,
-		StageDir:       *stageDir,
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		LRUSize:        *lru,
 		RequestTimeout: *timeout,
 		MaxScale:       *maxScale,
 		LogWriter:      os.Stderr,

@@ -1,8 +1,8 @@
 // Package castore is the repository's content-addressed entry store: one
 // file per cache key, content-addressed by the SHA-256 of the key and sharded
 // over 256 subdirectories so no single directory grows unboundedly. The
-// serving layer's whole-flow result store and the staged engine's per-stage
-// artifact store are both instances of it.
+// staged engine's per-stage artifact store is an instance of it; the serving
+// layer keeps its experiment renders in the same instance.
 package castore
 
 import (

@@ -42,16 +42,13 @@ type Study struct {
 	// Runner, when set, replaces flow.Run as the flow executor. The staged
 	// engine's Run plugs in here (byte-identical by contract), so an
 	// experiment matrix reuses per-stage artifacts across its sweep points
-	// instead of only deduplicating whole-flow repeats. Set before first use.
+	// instead of only deduplicating whole-flow repeats; tests plug in stubs.
+	// Set before first use.
 	Runner func(flow.Config) (*flow.Result, error)
 
 	mu       sync.Mutex
 	cache    map[string]*flow.Result
 	inflight map[string]*inflightRun
-
-	// runFlow is the flow executor, replaceable by tests to count or stub
-	// executions; nil means flow.Run.
-	runFlow func(flow.Config) (*flow.Result, error)
 
 	// Per-stage wall-clock totals across every flow this study executed
 	// (cache hits and deduplicated waiters excluded) — the profile behind
@@ -112,7 +109,9 @@ func (s *Study) intraWorkers() int {
 // old %.0f ClockPs key collided Fig 4 points under 1 ps apart) stay
 // distinct. The check and the run are bridged by an inflight map: the first
 // caller of a key executes, every concurrent caller of the same key waits
-// for that single execution.
+// for that single execution. A panicking runner still retires the inflight
+// entry: waiters get an error, the panic continues up the executing caller's
+// stack, and the next call retries.
 func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 	cfg.Scale = s.Scale
 	cfg.Seed = s.Seed
@@ -136,24 +135,27 @@ func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 	s.inflight[key] = f
 	s.mu.Unlock()
 
-	runner := s.runFlow
-	if runner == nil {
-		runner = s.Runner
-	}
+	runner := s.Runner
 	if runner == nil {
 		runner = flow.Run
 	}
+	panicked := true
+	defer func() {
+		if panicked {
+			f.res, f.err = nil, fmt.Errorf("core: flow %s panicked", key)
+		}
+		s.mu.Lock()
+		if f.err == nil {
+			s.cache[key] = f.res
+		}
+		// Errors are delivered to every waiter of this round but not cached:
+		// a later call gets a fresh attempt.
+		delete(s.inflight, key)
+		s.mu.Unlock()
+		close(f.done)
+	}()
 	f.res, f.err = runner(cfg)
-
-	s.mu.Lock()
-	if f.err == nil {
-		s.cache[key] = f.res
-	}
-	// Errors are delivered to every waiter of this round but not cached:
-	// a later call gets a fresh attempt.
-	delete(s.inflight, key)
-	s.mu.Unlock()
-	close(f.done)
+	panicked = false
 
 	if f.err == nil {
 		s.recordStages(f.res)

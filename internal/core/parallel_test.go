@@ -24,7 +24,7 @@ import (
 func stubStudy(runner func(flow.Config) (*flow.Result, error)) (*Study, *int64) {
 	s := NewStudy(0.1)
 	var calls int64
-	s.runFlow = func(cfg flow.Config) (*flow.Result, error) {
+	s.Runner = func(cfg flow.Config) (*flow.Result, error) {
 		atomic.AddInt64(&calls, 1)
 		return runner(cfg)
 	}
@@ -117,7 +117,7 @@ func TestRunErrorNotCached(t *testing.T) {
 	fail := errors.New("transient")
 	var attempt int64
 	s := NewStudy(0.1)
-	s.runFlow = func(cfg flow.Config) (*flow.Result, error) {
+	s.Runner = func(cfg flow.Config) (*flow.Result, error) {
 		if atomic.AddInt64(&attempt, 1) == 1 {
 			return nil, fail
 		}
@@ -130,6 +130,65 @@ func TestRunErrorNotCached(t *testing.T) {
 	r, err := s.run(cfg)
 	if err != nil || r == nil {
 		t.Fatalf("retry after error: %v", err)
+	}
+}
+
+// A panicking runner must not poison its key: the panic reaches the caller
+// that executed it, concurrent waiters get an error, and the next call for
+// the key runs again instead of blocking forever on a never-closed inflight.
+func TestRunPanicReleasesKey(t *testing.T) {
+	started := make(chan struct{})
+	release := make(chan struct{})
+	var attempt int64
+	s := NewStudy(0.1)
+	s.Runner = func(cfg flow.Config) (*flow.Result, error) {
+		if atomic.AddInt64(&attempt, 1) == 1 {
+			close(started)
+			<-release
+			panic("boom")
+		}
+		return &flow.Result{Config: cfg}, nil
+	}
+	cfg := flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode2D}
+	call := func() <-chan error {
+		out := make(chan error, 1)
+		go func() {
+			defer func() {
+				if p := recover(); p != nil {
+					out <- fmt.Errorf("panic: %v", p)
+				}
+			}()
+			_, err := s.run(cfg)
+			out <- err
+		}()
+		return out
+	}
+	wait := func(what string, out <-chan error) error {
+		t.Helper()
+		select {
+		case err := <-out:
+			return err
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%s blocked on the panicked key", what)
+			return nil
+		}
+	}
+	executor := call()
+	<-started
+	waiter := call()
+	// Give the waiter time to reach the inflight entry before the runner
+	// panics. Arriving after the cleanup instead, it retries and succeeds;
+	// either way it must not block.
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	if err := wait("executing caller", executor); err == nil || !strings.Contains(err.Error(), "panic: boom") {
+		t.Fatalf("executing caller: %v, want the runner's panic", err)
+	}
+	if err := wait("waiter", waiter); err != nil && !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("waiter: %v, want a panicked error or a retried result", err)
+	}
+	if err := wait("retry", call()); err != nil {
+		t.Fatalf("retry after panic: %v", err)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 
 // EncodeResult renders the canonical wire encoding of a flow result: compact
 // JSON with sorted map keys and unescaped HTML, terminated by a newline.
-// Two encodings of equal results are byte-identical; this is the payload the
-// serving layer stores on disk, caches in its LRU, and serves to clients,
-// and the report-stage artifact of the staged engine (internal/stage).
+// Two encodings of equal results are byte-identical; this is the report-stage
+// artifact of the staged engine (internal/stage), which the serving layer
+// serves to clients as is.
 func EncodeResult(r *Result) ([]byte, error) {
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)

@@ -14,8 +14,8 @@ import (
 // The experiment endpoint serves the paper's tables and figures as rendered
 // text — the same artifacts cmd/experiments writes, fetchable one at a time.
 // Renders are deterministic per (id, scale, seed), so they cache in the same
-// store as flow results; a full-scale table computed once is served from
-// disk forever after.
+// store as the engine's artifacts; a full-scale table computed once is served
+// from disk forever after.
 
 // experimentRegistry maps the public experiment ids onto their study
 // renderers. Mirrors the driver table in cmd/experiments.
@@ -68,11 +68,9 @@ func (s *Server) studyFor(scale float64, seed uint64) *core.Study {
 	if !ok {
 		st := core.NewStudy(scale)
 		st.Seed = seed
-		if s.engine != nil {
-			// Experiment flows route through the staged engine: sweep points
-			// sharing upstream stages reuse their artifacts.
-			st.Runner = s.engine.Run
-		}
+		// Experiment flows route through the engine: sweep points sharing
+		// upstream stages reuse their artifacts.
+		st.Runner = s.engine.Run
 		e = &studyEntry{study: st}
 		s.studies[key] = e
 	}
@@ -121,13 +119,26 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	}
 	key := fmt.Sprintf("v1|exp|%s|scale=%s|seed=%d",
 		id, strconv.FormatFloat(scale, 'g', -1, 64), seed)
-	data, source, err := s.getOrCompute(r.Context(), key, func() ([]byte, error) {
-		text, err := gen(s.studyFor(scale, seed))
-		if err != nil {
-			return nil, err
-		}
-		return []byte(text), nil
-	})
+	store := s.engine.Store()
+	data, ok, err := store.Get(key)
+	source := "disk"
+	switch {
+	case err != nil:
+	case ok:
+		s.metrics.Add("tmi3d_cache_hits_total", `tier="disk"`, 1)
+	default:
+		data, source, err = s.compute(r.Context(), key, func() ([]byte, error) {
+			text, err := gen(s.studyFor(scale, seed))
+			if err != nil {
+				return nil, err
+			}
+			if perr := store.Put(key, []byte(text)); perr != nil {
+				// A store failure degrades persistence, not correctness.
+				s.logger.Error("store put failed", "key", key, "error", perr.Error())
+			}
+			return []byte(text), nil
+		})
+	}
 	if err != nil {
 		s.writeComputeError(w, err)
 		return

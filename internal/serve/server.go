@@ -25,20 +25,17 @@ import (
 
 // Config parameterizes a Server.
 type Config struct {
-	// StoreDir is the root of the persistent result store (required).
+	// StoreDir roots the daemon's persistent store: the stage engine's
+	// per-stage artifacts (the report artifact is the /v1/ppa payload) and
+	// the experiment renders. Required unless StageDir is set.
 	StoreDir string
-	// StageDir, when set, roots a staged-flow artifact store: jobs execute
-	// through the stage engine instead of the monolithic flow, so a sweep
-	// point that shares upstream stages with an earlier request reuses their
-	// artifacts (byte-identical results either way). Empty disables staging.
+	// StageDir, when set, roots the store instead of StoreDir.
 	StageDir string
 	// Workers bounds concurrently executing jobs; 0 = GOMAXPROCS.
 	Workers int
 	// QueueDepth bounds jobs admitted but not yet running; a full queue
 	// rejects new work with 429 + Retry-After. 0 = 64.
 	QueueDepth int
-	// LRUSize bounds the in-memory payload cache, in entries. 0 = 256.
-	LRUSize int
 	// RequestTimeout is the per-request deadline; a request may shorten (but
 	// not extend) it with ?timeout_ms=. 0 = 15 minutes.
 	RequestTimeout time.Duration
@@ -58,9 +55,6 @@ func (c *Config) fill() {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
 	}
-	if c.LRUSize <= 0 {
-		c.LRUSize = 256
-	}
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 15 * time.Minute
 	}
@@ -73,7 +67,7 @@ func (c *Config) fill() {
 // the same key share one job (singleflight): the first creates and enqueues
 // it, latecomers wait on done. The job outlives any waiter — a request whose
 // deadline expires abandons the wait, but the job still completes and warms
-// the caches.
+// the engine's caches.
 type job struct {
 	key  string
 	fn   func() ([]byte, error)
@@ -82,18 +76,15 @@ type job struct {
 	err  error
 }
 
-// Server is the PPA daemon: HTTP front end, cache hierarchy (LRU → disk
-// store), and a bounded worker pool behind a singleflight job table.
+// Server is the PPA daemon: HTTP front end and admission control (a bounded
+// worker pool behind a singleflight job table) in front of one stage engine,
+// which is both its flow executor and its cache.
 type Server struct {
 	cfg     Config
-	store   *Store
-	lru     *lruCache
+	engine  *stage.Engine
 	metrics *Metrics
 	logger  *slog.Logger
 	start   time.Time
-
-	// engine is the staged-flow executor (nil without Config.StageDir).
-	engine *stage.Engine
 
 	mu       sync.Mutex
 	jobs     map[string]*job
@@ -108,20 +99,28 @@ type Server struct {
 
 	httpSrv *http.Server
 
-	// runFlow executes one flow; tests substitute a stub to count
-	// executions or inject latency. nil = flow.Run.
-	runFlow func(flow.Config) (*flow.Result, error)
+	// report is the ppa job body, engine.Report; tests wrap it to inject
+	// latency or failures.
+	report func(flow.Config) ([]byte, stage.RunStats, error)
 
 	// studies caches experiment engines per (scale, seed).
 	studyMu sync.Mutex
 	studies map[string]*studyEntry
 }
 
-// NewServer opens the store and starts the worker pool. The server accepts
-// work immediately through Handler(); Serve attaches a listener.
+// NewServer opens the engine over the store and starts the worker pool. The
+// server accepts work immediately through Handler(); Serve attaches a
+// listener.
 func NewServer(cfg Config) (*Server, error) {
 	cfg.fill()
-	store, err := OpenStore(cfg.StoreDir)
+	dir := cfg.StageDir
+	if dir == "" {
+		dir = cfg.StoreDir
+	}
+	if dir == "" {
+		return nil, errors.New("serve: a store directory is required")
+	}
+	eng, err := stage.New(dir)
 	if err != nil {
 		return nil, err
 	}
@@ -131,8 +130,8 @@ func NewServer(cfg Config) (*Server, error) {
 	}
 	s := &Server{
 		cfg:     cfg,
-		store:   store,
-		lru:     newLRU(cfg.LRUSize),
+		engine:  eng,
+		report:  eng.Report,
 		metrics: NewMetrics(),
 		logger:  slog.New(slog.NewJSONHandler(logw, nil)),
 		start:   time.Now(),
@@ -141,39 +140,26 @@ func NewServer(cfg Config) (*Server, error) {
 		ewmaSec: 30,
 		studies: map[string]*studyEntry{},
 	}
-	if cfg.StageDir != "" {
-		eng, err := stage.New(cfg.StageDir)
-		if err != nil {
-			return nil, err
-		}
-		s.engine = eng
-	}
 	s.registerMetrics()
-	store.OnQuarantine = func(path string, reason error) {
+	eng.Store().OnQuarantine = func(path string, reason error) {
 		s.metrics.Add("tmi3d_store_quarantined_total", "", 1)
 		s.logger.Warn("store entry quarantined", "path", path, "reason", reason.Error())
 	}
-	if s.engine != nil {
-		s.engine.Store().OnQuarantine = func(path string, reason error) {
-			s.metrics.Add("tmi3d_store_quarantined_total", "", 1)
-			s.logger.Warn("stage artifact quarantined", "path", path, "reason", reason.Error())
+	// The callback runs off the engine's lock; castore is lock-free — no
+	// ordering against Metrics.mu (see the submit comment below). Stage names
+	// are bare identifiers, so quoting them needs no escaping.
+	eng.OnEvent(func(stageName, ev string) {
+		switch ev {
+		case stage.EventMemHit:
+			s.metrics.Add("tmi3d_stage_hits_total", `stage="`+stageName+`",tier="mem"`, 1)
+		case stage.EventDiskHit:
+			s.metrics.Add("tmi3d_stage_hits_total", `stage="`+stageName+`",tier="disk"`, 1)
+		case stage.EventMiss:
+			s.metrics.Add("tmi3d_stage_misses_total", `stage="`+stageName+`"`, 1)
+		case stage.EventExecute:
+			s.metrics.Add("tmi3d_stage_executions_total", `stage="`+stageName+`"`, 1)
 		}
-		// The callback runs off the engine's lock; castore is lock-free — no
-		// ordering against Metrics.mu (see the submit comment below).
-		s.engine.OnEvent(func(stageName, ev string) {
-			label := fmt.Sprintf(`stage=%q`, stageName)
-			switch ev {
-			case stage.EventMemHit:
-				s.metrics.Add("tmi3d_stage_hits_total", label+`,tier="mem"`, 1)
-			case stage.EventDiskHit:
-				s.metrics.Add("tmi3d_stage_hits_total", label+`,tier="disk"`, 1)
-			case stage.EventMiss:
-				s.metrics.Add("tmi3d_stage_misses_total", label, 1)
-			case stage.EventExecute:
-				s.metrics.Add("tmi3d_stage_executions_total", label, 1)
-			}
-		})
-	}
+	})
 	s.httpSrv = &http.Server{Handler: s.Handler()}
 	for i := 0; i < cfg.Workers; i++ {
 		s.wg.Add(1)
@@ -185,13 +171,13 @@ func NewServer(cfg Config) (*Server, error) {
 func (s *Server) registerMetrics() {
 	m := s.metrics
 	m.Counter("tmi3d_requests_total", "HTTP requests by endpoint and status code.")
-	m.Counter("tmi3d_cache_hits_total", "Result cache hits by tier (lru or disk).")
-	m.Counter("tmi3d_cache_misses_total", "Result cache misses (a job was needed).")
+	m.Counter("tmi3d_cache_hits_total", "Cache hits answered without a job, by tier: lru (/v1/ppa, the engine's memory tier) or disk (experiment renders).")
+	m.Counter("tmi3d_cache_misses_total", "Requests that needed a job.")
 	m.Counter("tmi3d_singleflight_joins_total", "Requests that joined an in-flight identical job instead of enqueuing their own.")
 	m.Counter("tmi3d_queue_rejected_total", "Jobs rejected with 429 because the queue was full.")
-	m.Counter("tmi3d_flow_runs_total", "Full flow executions completed.")
-	m.Counter("tmi3d_flow_errors_total", "Flow executions that returned an error.")
-	m.Counter("tmi3d_flow_stage_seconds_total", "Cumulative wall-clock seconds per flow stage, from flow.Result.StageTimes.")
+	m.Counter("tmi3d_flow_runs_total", "Flow jobs completed.")
+	m.Counter("tmi3d_flow_errors_total", "Flow jobs that returned an error.")
+	m.Counter("tmi3d_flow_stage_seconds_total", "Cumulative wall-clock seconds per executed flow stage, from the job's stage profile.")
 	m.Counter("tmi3d_store_quarantined_total", "Corrupted store entries quarantined on load.")
 	m.Gauge("tmi3d_queue_depth", "Jobs admitted and not yet finished.", func() float64 {
 		s.mu.Lock()
@@ -203,15 +189,13 @@ func (s *Server) registerMetrics() {
 	})
 	m.Histogram("tmi3d_request_seconds", "Request latency by endpoint.",
 		[]float64{0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10, 30, 60, 120, 300})
-	if s.engine != nil {
-		m.Counter("tmi3d_stage_hits_total", "Staged-flow artifact cache hits by stage and tier (mem or disk).")
-		m.Counter("tmi3d_stage_misses_total", "Staged-flow artifact cache misses by stage (a stage execution followed).")
-		m.Counter("tmi3d_stage_executions_total", "Staged-flow stage-body executions by stage.")
-		m.Gauge("tmi3d_stage_store_entries", "Live entries in the staged-flow artifact store.", func() float64 {
-			n, _ := s.engine.StoreLen()
-			return float64(n)
-		})
-	}
+	m.Counter("tmi3d_stage_hits_total", "Staged-flow artifact cache hits by stage and tier (mem or disk).")
+	m.Counter("tmi3d_stage_misses_total", "Staged-flow artifact cache misses by stage (a stage execution followed).")
+	m.Counter("tmi3d_stage_executions_total", "Staged-flow stage-body executions by stage.")
+	m.Gauge("tmi3d_stage_store_entries", "Live entries in the store.", func() float64 {
+		n, _ := s.engine.StoreLen()
+		return float64(n)
+	})
 }
 
 // Handler returns the daemon's HTTP handler (also usable under a test
@@ -239,7 +223,7 @@ func (s *Server) Serve(l net.Listener) error {
 
 // Shutdown drains the daemon: stop accepting connections, wait for in-
 // flight requests (bounded by ctx), then let the workers finish every
-// admitted job — a queued flow is a promise; its result still lands in the
+// admitted job — a queued flow is a promise; its report still lands in the
 // store for the next process.
 func (s *Server) Shutdown(ctx context.Context) error {
 	err := s.httpSrv.Shutdown(ctx)
@@ -279,13 +263,6 @@ func (s *Server) worker() {
 	for j := range s.queue {
 		t0 := time.Now()
 		data, err := s.runJob(j)
-		if err == nil {
-			if perr := s.store.Put(j.key, data); perr != nil {
-				// A store failure degrades persistence, not correctness.
-				s.logger.Error("store put failed", "key", j.key, "error", perr.Error())
-			}
-			s.lru.Add(j.key, data)
-		}
 		s.mu.Lock()
 		delete(s.jobs, j.key)
 		s.queued--
@@ -353,21 +330,21 @@ func (s *Server) submit(key string, fn func() ([]byte, error)) (*job, bool, erro
 	}
 }
 
-// getOrCompute serves key from the cache hierarchy, computing on miss.
-// source reports where the bytes came from: lru, disk, run (this request
-// executed) or join (deduplicated onto another request's execution).
-func (s *Server) getOrCompute(ctx context.Context, key string, fn func() ([]byte, error)) (data []byte, source string, err error) {
-	if d, ok := s.lru.Get(key); ok {
+// ppa serves one configuration's payload: the report in the engine's memory
+// tier (source lru), else a job, which reads the report from the store or
+// executes the stages it lacks.
+func (s *Server) ppa(ctx context.Context, cfg flow.Config, stageHits *string) ([]byte, string, error) {
+	if data, ok := s.engine.Cached(cfg); ok {
 		s.metrics.Add("tmi3d_cache_hits_total", `tier="lru"`, 1)
-		return d, "lru", nil
+		return data, "lru", nil
 	}
-	if d, ok, gerr := s.store.Get(key); gerr != nil {
-		return nil, "", gerr
-	} else if ok {
-		s.lru.Add(key, d)
-		s.metrics.Add("tmi3d_cache_hits_total", `tier="disk"`, 1)
-		return d, "disk", nil
-	}
+	return s.compute(ctx, "v1|ppa|"+cfg.Key(), s.ppaJob(cfg, stageHits))
+}
+
+// compute runs fn as the job for key after a cache miss. source reports run
+// (this request admitted the job) or join (deduplicated onto another
+// request's job).
+func (s *Server) compute(ctx context.Context, key string, fn func() ([]byte, error)) (data []byte, source string, err error) {
 	s.metrics.Add("tmi3d_cache_misses_total", "", 1)
 	j, joined, err := s.submit(key, fn)
 	if err != nil {
@@ -438,7 +415,7 @@ type errorBody struct {
 	Error string `json:"error"`
 }
 
-// writeComputeError maps getOrCompute failures onto HTTP semantics.
+// writeComputeError maps ppa/compute failures onto HTTP semantics.
 func (s *Server) writeComputeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.Is(err, errBusy):
@@ -468,7 +445,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		"uptime_s":    int64(time.Since(s.start).Seconds()),
 		"workers":     s.cfg.Workers,
 		"queue_depth": queued,
-		"lru_entries": s.lru.Len(),
 	})
 }
 
@@ -543,47 +519,28 @@ func (s *Server) intraWorkers() int {
 	return intra
 }
 
-func (s *Server) runner() func(flow.Config) (*flow.Result, error) {
-	if s.runFlow != nil {
-		return s.runFlow
-	}
-	intra := s.intraWorkers()
-	return func(cfg flow.Config) (*flow.Result, error) {
-		cfg.Workers = intra
-		return flow.Run(cfg)
-	}
-}
-
-// ppaJob builds the compute closure for one configuration: run the flow
-// (through the stage engine when one is configured), fold its stage profile
-// into the metrics, encode canonically. stageHits, when non-nil, receives the
-// staged run's cache summary — only the request whose closure actually
-// executes sees it populated, which is exactly the request answering with
-// X-Cache: run.
+// ppaJob builds the job body for one configuration: the engine's report
+// artifact, with the run's stage profile folded into the metrics. stageHits,
+// when non-nil, receives the run's cache summary — only the request whose
+// closure actually executes sees it populated, which is exactly the request
+// answering with X-Cache: run.
 func (s *Server) ppaJob(cfg flow.Config, stageHits *string) func() ([]byte, error) {
 	return func() ([]byte, error) {
-		var r *flow.Result
-		var err error
-		if s.runFlow == nil && s.engine != nil {
-			cfg.Workers = s.intraWorkers()
-			var stats stage.RunStats
-			r, stats, err = s.engine.RunStats(cfg)
-			if err == nil && stageHits != nil {
-				*stageHits = stats.Summary()
-			}
-		} else {
-			r, err = s.runner()(cfg)
-		}
+		cfg.Workers = s.intraWorkers()
+		data, stats, err := s.report(cfg)
 		if err != nil {
 			s.metrics.Add("tmi3d_flow_errors_total", "", 1)
 			return nil, err
 		}
 		s.metrics.Add("tmi3d_flow_runs_total", "", 1)
-		for _, st := range r.StageTimes {
+		for _, st := range stats.StageTimes {
 			s.metrics.Add("tmi3d_flow_stage_seconds_total",
 				fmt.Sprintf(`stage=%q`, st.Stage), st.D.Seconds())
 		}
-		return EncodeResult(r)
+		if stageHits != nil {
+			*stageHits = stats.Summary()
+		}
+		return data, nil
 	}
 }
 
@@ -599,14 +556,14 @@ func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var stageHits string
-	data, source, err := s.getOrCompute(r.Context(), "v1|ppa|"+cfg.Key(), s.ppaJob(cfg, &stageHits))
+	data, source, err := s.ppa(r.Context(), cfg, &stageHits)
 	if err != nil {
 		s.writeComputeError(w, err)
 		return
 	}
 	w.Header().Set("X-Cache", source)
 	if stageHits != "" {
-		// Populated only when this request's own closure ran the staged flow
+		// Populated only when this request's own closure ran the job
 		// (close(j.done) orders the write before this read).
 		w.Header().Set("X-Stage-Hits", stageHits)
 	}
@@ -663,9 +620,9 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		d2.data, d2.src, d2.err = s.getOrCompute(r.Context(), "v1|ppa|"+cfg2.Key(), s.ppaJob(cfg2, nil))
+		d2.data, d2.src, d2.err = s.ppa(r.Context(), cfg2, nil)
 	}()
-	d3.data, d3.src, d3.err = s.getOrCompute(r.Context(), "v1|ppa|"+cfg3.Key(), s.ppaJob(cfg3, nil))
+	d3.data, d3.src, d3.err = s.ppa(r.Context(), cfg3, nil)
 	wg.Wait()
 	for _, sd := range []side{d2, d3} {
 		if sd.err != nil {
@@ -673,12 +630,12 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	r2, err := DecodeResult(d2.data)
+	r2, err := flow.DecodeResult(d2.data)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return
 	}
-	r3, err := DecodeResult(d3.data)
+	r3, err := flow.DecodeResult(d3.data)
 	if err != nil {
 		writeJSON(w, http.StatusInternalServerError, errorBody{Error: err.Error()})
 		return

@@ -14,9 +14,38 @@ import (
 	"testing"
 	"time"
 
+	"tmi3d/internal/circuits"
 	"tmi3d/internal/flow"
 	"tmi3d/internal/power"
+	"tmi3d/internal/stage"
+	"tmi3d/internal/tech"
 )
+
+// Tests that assert caching serve real FPU flows at scale 0.05 through the
+// engine and compare payloads with the direct encoding; tests of admission
+// alone (queueing, rejection, validation) swap in a stub job body.
+const fpuQuery = "circuit=FPU&scale=0.05"
+
+type reportFunc = func(flow.Config) ([]byte, stage.RunStats, error)
+
+// directPayload is the byte-identity reference: the canonical encoding of a
+// monolithic flow.Run.
+func directPayload(t *testing.T, query string) []byte {
+	t.Helper()
+	cfg, err := ParseConfig(mustQuery(query))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := flow.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := flow.EncodeResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
 
 // stubResult builds a small deterministic result for a config — the serving
 // layer must treat it exactly like a real flow result.
@@ -36,7 +65,16 @@ func stubResult(cfg flow.Config) *flow.Result {
 	}
 }
 
-func newTestServer(t *testing.T, cfg Config, runFlow func(flow.Config) (*flow.Result, error)) (*Server, *httptest.Server) {
+// stubReport is a stand-in job body returning the stub result's encoding.
+func stubReport(cfg flow.Config) ([]byte, stage.RunStats, error) {
+	r := stubResult(cfg)
+	data, err := flow.EncodeResult(r)
+	return data, stage.RunStats{StageTimes: r.StageTimes}, err
+}
+
+// newTestServer starts a daemon; wrap, when non-nil, replaces the job body
+// given the engine's (typically wrapping it to block, count or fail).
+func newTestServer(t *testing.T, cfg Config, wrap func(report reportFunc) reportFunc) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.StoreDir == "" {
 		cfg.StoreDir = t.TempDir()
@@ -45,7 +83,9 @@ func newTestServer(t *testing.T, cfg Config, runFlow func(flow.Config) (*flow.Re
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.runFlow = runFlow
+	if wrap != nil {
+		s.report = wrap(s.report)
+	}
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(func() {
 		ts.Close()
@@ -69,20 +109,23 @@ func get(t *testing.T, url string) (int, http.Header, []byte) {
 }
 
 // TestSingleflight64Workers is the acceptance-criterion test: 64 concurrent
-// identical requests cost exactly one flow execution, every response is
+// identical requests cost exactly one report execution, every response is
 // byte-identical to the direct encoding, and the metrics show the traffic.
 func TestSingleflight64Workers(t *testing.T) {
 	var runs atomic.Int64
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{Workers: 4, QueueDepth: 8},
-		func(cfg flow.Config) (*flow.Result, error) {
-			runs.Add(1)
-			<-release
-			return stubResult(cfg), nil
+		func(report reportFunc) reportFunc {
+			return func(cfg flow.Config) ([]byte, stage.RunStats, error) {
+				runs.Add(1)
+				<-release
+				return report(cfg)
+			}
 		})
 
 	const n = 64
-	url := ts.URL + "/v1/ppa?circuit=FPU&scale=0.1&seed=7"
+	query := fpuQuery + "&seed=7"
+	url := ts.URL + "/v1/ppa?" + query
 	codes := make([]int, n)
 	bodies := make([][]byte, n)
 	var wg sync.WaitGroup
@@ -113,16 +156,12 @@ func TestSingleflight64Workers(t *testing.T) {
 	wg.Wait()
 
 	if got := runs.Load(); got != 1 {
-		t.Fatalf("flow executions = %d, want exactly 1", got)
+		t.Fatalf("job executions = %d, want exactly 1", got)
 	}
-	cfg, err := ParseConfig(mustQuery("circuit=FPU&scale=0.1&seed=7"))
-	if err != nil {
-		t.Fatal(err)
+	if got := s.engine.Counters()["report"].Executions; got != 1 {
+		t.Fatalf("report executions = %d, want exactly 1", got)
 	}
-	want, err := EncodeResult(stubResult(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
+	want := directPayload(t, query)
 	for i := 0; i < n; i++ {
 		if codes[i] != 200 {
 			t.Fatalf("request %d: status %d (%s)", i, codes[i], bodies[i])
@@ -135,8 +174,8 @@ func TestSingleflight64Workers(t *testing.T) {
 		t.Fatalf("singleflight joins = %v, want %d", joins, n-1)
 	}
 
-	// One more request now hits the LRU; /metrics must report non-zero
-	// hit/miss and latency counters.
+	// One more request now hits the engine's memory tier; /metrics must
+	// report non-zero hit/miss and latency counters.
 	code, hdr, _ := get(t, url)
 	if code != 200 || hdr.Get("X-Cache") != "lru" {
 		t.Fatalf("warm request: status %d cache %q", code, hdr.Get("X-Cache"))
@@ -148,6 +187,7 @@ func TestSingleflight64Workers(t *testing.T) {
 		`tmi3d_request_seconds_count{endpoint="ppa"} 65`,
 		"tmi3d_flow_runs_total 1",
 		`tmi3d_flow_stage_seconds_total{stage="synth"}`,
+		`tmi3d_stage_executions_total{stage="report"} 1`,
 	} {
 		if !strings.Contains(string(metrics), want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
@@ -171,10 +211,12 @@ func TestQueueFullReturns429(t *testing.T) {
 	started := make(chan struct{}, 8)
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1},
-		func(cfg flow.Config) (*flow.Result, error) {
-			started <- struct{}{}
-			<-release
-			return stubResult(cfg), nil
+		func(reportFunc) reportFunc {
+			return func(cfg flow.Config) ([]byte, stage.RunStats, error) {
+				started <- struct{}{}
+				<-release
+				return stubReport(cfg)
+			}
 		})
 
 	urlFor := func(seed int) string {
@@ -224,24 +266,29 @@ func TestQueueFullReturns429(t *testing.T) {
 func TestDeadlineExceeded(t *testing.T) {
 	release := make(chan struct{})
 	s, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4},
-		func(cfg flow.Config) (*flow.Result, error) {
-			<-release
-			return stubResult(cfg), nil
+		func(report reportFunc) reportFunc {
+			return func(cfg flow.Config) ([]byte, stage.RunStats, error) {
+				<-release
+				return report(cfg)
+			}
 		})
-	url := ts.URL + "/v1/ppa?circuit=FPU&scale=0.1"
+	url := ts.URL + "/v1/ppa?" + fpuQuery
 	code, _, body := get(t, url+"&timeout_ms=50")
 	if code != http.StatusGatewayTimeout {
 		t.Fatalf("status %d (%s), want 504", code, body)
 	}
 	close(release)
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.Now().Add(60 * time.Second)
 	for {
-		code, hdr, _ := get(t, url)
+		code, hdr, body := get(t, url)
 		if code == 200 {
 			// A poll can land while the released job is still in the
 			// inflight table and join it; that 200 doesn't yet prove the
 			// cache was warmed, so keep polling until a cache tier answers.
-			if src := hdr.Get("X-Cache"); src == "lru" || src == "disk" {
+			if src := hdr.Get("X-Cache"); src == "lru" {
+				if string(body) != string(directPayload(t, fpuQuery)) {
+					t.Fatal("warmed entry differs from the direct encoding")
+				}
 				break
 			} else if src != "join" {
 				t.Fatalf("post-timeout hit came from %q, want a cache tier", src)
@@ -252,43 +299,52 @@ func TestDeadlineExceeded(t *testing.T) {
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	_ = s
+	if got := s.engine.Counters()["report"].Executions; got != 1 {
+		t.Fatalf("report executions = %d, want 1", got)
+	}
 }
 
 // TestRestartServesFromDisk: a result computed by one daemon process is
 // served by the next from the persistent store without re-running the flow.
 func TestRestartServesFromDisk(t *testing.T) {
 	dir := t.TempDir()
-	_, ts1 := newTestServer(t, Config{StoreDir: dir, Workers: 2},
-		func(cfg flow.Config) (*flow.Result, error) { return stubResult(cfg), nil })
-	url1 := ts1.URL + "/v1/ppa?circuit=AES&scale=0.2"
-	code, _, body1 := get(t, url1)
-	if code != 200 {
-		t.Fatalf("first run: %d (%s)", code, body1)
+	_, ts1 := newTestServer(t, Config{StoreDir: dir, Workers: 2}, nil)
+	code, hdr, body1 := get(t, ts1.URL+"/v1/ppa?"+fpuQuery)
+	if code != 200 || hdr.Get("X-Cache") != "run" {
+		t.Fatalf("first run: status %d cache %q (%s)", code, hdr.Get("X-Cache"), body1)
+	}
+	if string(body1) != string(directPayload(t, fpuQuery)) {
+		t.Fatal("first run differs from the direct encoding")
 	}
 
-	_, ts2 := newTestServer(t, Config{StoreDir: dir, Workers: 2},
-		func(cfg flow.Config) (*flow.Result, error) {
-			t.Error("flow re-executed despite persisted result")
-			return stubResult(cfg), nil
-		})
-	code, hdr, body2 := get(t, ts2.URL+"/v1/ppa?circuit=AES&scale=0.2")
-	if code != 200 || hdr.Get("X-Cache") != "disk" {
-		t.Fatalf("restart: status %d cache %q", code, hdr.Get("X-Cache"))
+	// The new process's memory tier is empty, so a job reads the report
+	// from the store: it executes no stage.
+	s2, ts2 := newTestServer(t, Config{StoreDir: dir, Workers: 2}, nil)
+	code, hdr, body2 := get(t, ts2.URL+"/v1/ppa?"+fpuQuery)
+	if code != 200 || hdr.Get("X-Stage-Hits") != "mem=0 disk=1 run=0" {
+		t.Fatalf("restart: status %d cache %q stage hits %q", code, hdr.Get("X-Cache"), hdr.Get("X-Stage-Hits"))
 	}
 	if string(body1) != string(body2) {
 		t.Fatal("restart served different bytes")
+	}
+	for name, c := range s2.engine.Counters() {
+		if c.Executions != 0 {
+			t.Errorf("restart executed %s %d times", name, c.Executions)
+		}
 	}
 }
 
 func TestCompareEndpoint(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8},
-		func(cfg flow.Config) (*flow.Result, error) {
-			r := stubResult(cfg)
-			if cfg.Mode.Is3D() {
-				r.Footprint = 50 // -50% vs the 2D stub's 100
+		func(reportFunc) reportFunc {
+			return func(cfg flow.Config) ([]byte, stage.RunStats, error) {
+				r := stubResult(cfg)
+				if cfg.Mode.Is3D() {
+					r.Footprint = 50 // -50% vs the 2D stub's 100
+				}
+				data, err := flow.EncodeResult(r)
+				return data, stage.RunStats{}, err
 			}
-			return r, nil
 		})
 	code, _, body := get(t, ts.URL+"/v1/compare?circuit=LDPC&scale=0.1")
 	if code != 200 {
@@ -316,9 +372,12 @@ func TestCompareEndpoint(t *testing.T) {
 }
 
 func TestPostConfig(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2},
-		func(cfg flow.Config) (*flow.Result, error) { return stubResult(cfg), nil })
-	cfg := flow.Config{Circuit: "DES", Scale: 0.1, ClockPs: 500.25}
+	_, ts := newTestServer(t, Config{Workers: 2}, nil)
+	base, err := circuits.TargetClockPs("FPU", tech.N45)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := flow.Config{Circuit: "FPU", Scale: 0.05, ClockPs: base*1.1 + 0.25}
 	body, _ := json.Marshal(cfg)
 	resp, err := http.Post(ts.URL+"/v1/ppa", "application/json", strings.NewReader(string(body)))
 	if err != nil {
@@ -329,23 +388,23 @@ func TestPostConfig(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("POST: %d (%s)", resp.StatusCode, data)
 	}
-	r, err := DecodeResult(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Config.Circuit != "DES" || r.Config.ClockPs != 500.25 {
-		t.Fatalf("POST served config %+v", r.Config)
+	query := ConfigQuery(cfg).Encode()
+	if string(data) != string(directPayload(t, query)) {
+		t.Fatal("POST payload differs from the direct encoding")
 	}
 	// A GET with the equivalent query shares the POST's cache entry.
-	code, hdr, _ := get(t, ts.URL+"/v1/ppa?"+ConfigQuery(flow.Config{Circuit: "DES", Scale: 0.1, ClockPs: 500.25}).Encode())
+	code, hdr, got := get(t, ts.URL+"/v1/ppa?"+query)
 	if code != 200 || hdr.Get("X-Cache") != "lru" {
 		t.Fatalf("GET after POST: status %d cache %q", code, hdr.Get("X-Cache"))
+	}
+	if string(got) != string(data) {
+		t.Fatal("GET served different bytes than the POST")
 	}
 }
 
 func TestBadRequests(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, MaxScale: 0.5},
-		func(cfg flow.Config) (*flow.Result, error) { return stubResult(cfg), nil })
+		func(reportFunc) reportFunc { return stubReport })
 	for _, tc := range []struct {
 		path string
 		code int
@@ -374,9 +433,11 @@ func TestBadRequests(t *testing.T) {
 func TestPostRejectsBadEnums(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{Workers: 1},
-		func(cfg flow.Config) (*flow.Result, error) {
-			runs.Add(1)
-			return stubResult(cfg), nil
+		func(reportFunc) reportFunc {
+			return func(cfg flow.Config) ([]byte, stage.RunStats, error) {
+				runs.Add(1)
+				return stubReport(cfg)
+			}
 		})
 	for _, body := range []string{
 		`{"circuit":"AES","node":5}`,
@@ -409,17 +470,19 @@ func TestPostRejectsBadEnums(t *testing.T) {
 // 500 and leave the worker pool serving subsequent requests.
 func TestJobPanicIsAnError(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1},
-		func(cfg flow.Config) (*flow.Result, error) {
-			if cfg.Seed == 666 {
-				panic("boom")
+		func(report reportFunc) reportFunc {
+			return func(cfg flow.Config) ([]byte, stage.RunStats, error) {
+				if cfg.Seed == 666 {
+					panic("boom")
+				}
+				return report(cfg)
 			}
-			return stubResult(cfg), nil
 		})
-	code, _, body := get(t, ts.URL+"/v1/ppa?circuit=FPU&scale=0.1&seed=666")
+	code, _, body := get(t, ts.URL+"/v1/ppa?"+fpuQuery+"&seed=666")
 	if code != http.StatusInternalServerError || !strings.Contains(string(body), "panicked") {
 		t.Fatalf("panicking job: status %d (%s), want 500 mentioning the panic", code, body)
 	}
-	code, _, body = get(t, ts.URL+"/v1/ppa?circuit=FPU&scale=0.1&seed=1")
+	code, _, body = get(t, ts.URL+"/v1/ppa?"+fpuQuery+"&seed=1")
 	if code != 200 {
 		t.Fatalf("request after panic: status %d (%s); worker pool did not survive", code, body)
 	}
@@ -433,9 +496,11 @@ func TestJobPanicIsAnError(t *testing.T) {
 func TestMetricsScrapeDuringSubmit(t *testing.T) {
 	release := make(chan struct{})
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1},
-		func(cfg flow.Config) (*flow.Result, error) {
-			<-release
-			return stubResult(cfg), nil
+		func(reportFunc) reportFunc {
+			return func(cfg flow.Config) ([]byte, stage.RunStats, error) {
+				<-release
+				return stubReport(cfg)
+			}
 		})
 	// Unblock the workers before the server cleanup drains them (cleanups
 	// run last-registered-first).
@@ -476,8 +541,7 @@ func TestMetricsScrapeDuringSubmit(t *testing.T) {
 }
 
 func TestExperimentStatic(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1},
-		func(cfg flow.Config) (*flow.Result, error) { return stubResult(cfg), nil })
+	_, ts := newTestServer(t, Config{Workers: 1}, nil)
 	code, hdr, body := get(t, ts.URL+"/v1/experiment/table1")
 	if code != 200 {
 		t.Fatalf("table1: %d (%s)", code, body)
@@ -499,8 +563,7 @@ func TestExperimentStatic(t *testing.T) {
 }
 
 func TestHealthz(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 3},
-		func(cfg flow.Config) (*flow.Result, error) { return stubResult(cfg), nil })
+	_, ts := newTestServer(t, Config{Workers: 3}, nil)
 	code, _, body := get(t, ts.URL+"/healthz")
 	if code != 200 {
 		t.Fatalf("healthz: %d", code)
@@ -516,7 +579,7 @@ func TestHealthz(t *testing.T) {
 
 // TestGracefulShutdown uses a real listener: Shutdown must stop accepting
 // new connections while the in-flight request completes successfully and
-// its result still lands in the persistent store.
+// its report still lands in the persistent store.
 func TestGracefulShutdown(t *testing.T) {
 	started := make(chan struct{}, 1)
 	release := make(chan struct{})
@@ -525,10 +588,11 @@ func TestGracefulShutdown(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.runFlow = func(cfg flow.Config) (*flow.Result, error) {
+	report := s.report
+	s.report = func(cfg flow.Config) ([]byte, stage.RunStats, error) {
 		started <- struct{}{}
 		<-release
-		return stubResult(cfg), nil
+		return report(cfg)
 	}
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -545,7 +609,7 @@ func TestGracefulShutdown(t *testing.T) {
 	}
 	inflight := make(chan reply, 1)
 	go func() {
-		resp, err := http.Get("http://" + addr + "/v1/ppa?circuit=M256&scale=0.1")
+		resp, err := http.Get("http://" + addr + "/v1/ppa?" + fpuQuery)
 		if err != nil {
 			inflight <- reply{err: err}
 			return
@@ -588,12 +652,20 @@ func TestGracefulShutdown(t *testing.T) {
 	if err := <-serveDone; err != nil {
 		t.Fatalf("serve: %v", err)
 	}
-	// The drained job's result persisted.
-	store, err := OpenStore(dir)
+	if string(r.body) != string(directPayload(t, fpuQuery)) {
+		t.Fatal("drained request's payload differs from the direct encoding")
+	}
+	// The drained job's report persisted: a fresh engine reads it from disk.
+	eng, err := stage.New(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n, err := store.Len(); err != nil || n != 1 {
-		t.Fatalf("store holds %d entries after drain (err %v), want 1", n, err)
+	cfg, err := ParseConfig(mustQuery(fpuQuery))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, stats, err := eng.Report(cfg)
+	if err != nil || stats.Executions != 0 || string(data) != string(r.body) {
+		t.Fatalf("after drain: Report stats %+v err %v, want the served payload from disk", stats, err)
 	}
 }

@@ -8,17 +8,20 @@
 // # Content addressing
 //
 // Every node has a stage key — the exact flow.StageKeys Config fields of the
-// corresponding //tmi3dvet:stage region, rendered canonically — and an
-// artifact ID:
+// corresponding //tmi3dvet:stage region, rendered canonically — and a key-field
+// closure: the sorted union of its own key fields and those of every node
+// upstream of it (Workers excluded). Its artifact ID hashes the closure:
 //
-//	id = sha256(version, name, key fields, dep artifact IDs in declared order)
+//	id = sha256(version, name, field=term over the key-field closure)
 //
-// Two configs share a stage's artifact exactly when they agree on that
-// stage's key fields and, recursively, on everything its upstream cone
-// depends on. Soundness rests on the stagedeps analyzer: it proves each
-// region reads no Config field outside its manifest entry, and the DAG
-// consistency test (dag_test.go) proves every cross-stage artifact edge the
-// analyzer computes is carried by the Deps declared here.
+// Two configs share a stage's artifact exactly when they agree on every field
+// of its closure — the same sharing a chain of upstream IDs would give, at the
+// cost of one hash per lookup. The report node's closure is the whole config,
+// so the serving layer's cache probe hashes one string. Soundness rests on the
+// stagedeps analyzer: it proves each region reads no Config field outside its
+// manifest entry, and the DAG consistency test (dag_test.go) proves every
+// cross-stage artifact edge the analyzer computes is carried by the Deps
+// declared here.
 //
 // # Byte identity
 //
@@ -45,7 +48,7 @@ type Node struct {
 	// Name matches the //tmi3dvet:stage anchor and the StageKeys entry.
 	Name string
 	// Deps are the upstream nodes whose artifacts this node consumes; their
-	// artifact IDs feed this node's ID in this order. Every cross-stage
+	// key-field closures are part of this node's. Every cross-stage
 	// artifact edge stagedeps computes over flow.Run must be covered by the
 	// transitive closure of these edges.
 	Deps []string
@@ -96,9 +99,8 @@ func keyFields(name string) []string {
 	return out
 }
 
-// KeyString renders a node's stage key for a config — the canonical
-// field=value form hashed into the artifact ID, also shown by the `tmi3d
-// stages` subcommand.
+// KeyString renders a node's own stage key for a config in the canonical
+// field=value form — what the `tmi3d stages` subcommand shows per node.
 func KeyString(cfg flow.Config, name string) string {
 	fields := keyFields(name)
 	terms := make([]string, len(fields))
@@ -108,25 +110,56 @@ func KeyString(cfg flow.Config, name string) string {
 	return strings.Join(terms, "|")
 }
 
-const idVersion = "tmi3d-stage-v1"
+const idVersion = "tmi3d-stage-v2"
 
-// ids computes every node's artifact ID for a config, walking the DAG in
-// topological order. cfg must be normalized (cfg.Normalized()).
+// closures maps every node to its key-field closure (see the package doc),
+// computed once from Nodes, Deps and StageKeys.
+var closures = func() map[string][]string {
+	out := make(map[string][]string, len(Nodes))
+	for i := range Nodes {
+		n := &Nodes[i]
+		set := map[string]bool{}
+		for _, f := range keyFields(n.Name) {
+			set[f] = true
+		}
+		for _, dep := range n.Deps {
+			for _, f := range out[dep] {
+				set[f] = true
+			}
+		}
+		fields := make([]string, 0, len(set))
+		for f := range set {
+			fields = append(fields, f)
+		}
+		sort.Strings(fields)
+		out[n.Name] = fields
+	}
+	return out
+}()
+
+// artifactID is a node's artifact ID for a config. cfg must be normalized
+// (cfg.Normalized()).
+func artifactID(cfg flow.Config, name string) string {
+	var b strings.Builder
+	b.Grow(256) // the report's closure renders to ~150 bytes: one allocation
+	b.WriteString(idVersion)
+	b.WriteByte(0)
+	b.WriteString(name)
+	for _, f := range closures[name] {
+		b.WriteByte(0)
+		b.WriteString(f)
+		b.WriteByte('=')
+		b.WriteString(cfg.FieldKeyTerm(f))
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// ids computes every node's artifact ID for a config. cfg must be normalized.
 func ids(cfg flow.Config) map[string]string {
 	out := make(map[string]string, len(Nodes))
 	for i := range Nodes {
-		n := &Nodes[i]
-		h := sha256.New()
-		h.Write([]byte(idVersion))
-		h.Write([]byte{0})
-		h.Write([]byte(n.Name))
-		h.Write([]byte{0})
-		h.Write([]byte(KeyString(cfg, n.Name)))
-		for _, dep := range n.Deps {
-			h.Write([]byte{0})
-			h.Write([]byte(out[dep]))
-		}
-		out[n.Name] = hex.EncodeToString(h.Sum(nil))
+		out[Nodes[i].Name] = artifactID(cfg, Nodes[i].Name)
 	}
 	return out
 }

@@ -1,6 +1,8 @@
 package stage
 
 import (
+	"maps"
+	"slices"
 	"strings"
 	"testing"
 
@@ -62,6 +64,92 @@ func TestDAGMatchesStageKeys(t *testing.T) {
 	if KeyString(swept, "synth") != KeyString(cfg, "synth") {
 		t.Error("synth key is sensitive to ClockPs: sweep points would not share synthesis")
 	}
+
+	// Every key-field closure lies inside the report's key fields, so the
+	// report ID alone pins the whole config.
+	reportFields := map[string]bool{}
+	for _, f := range flow.StageKeys["report"] {
+		reportFields[f] = true
+	}
+	for name, fields := range closures {
+		for _, f := range fields {
+			if f == "Workers" || !reportFields[f] {
+				t.Errorf("closure of %q holds %q, outside StageKeys[report] minus Workers", name, f)
+			}
+		}
+	}
+
+	// IDs are shared exactly when the closure fields agree: changing one
+	// field moves the IDs of precisely the nodes whose closure holds it.
+	cfg = cfg.Normalized()
+	baseIDs := ids(cfg)
+	for _, f := range keyFields("report") {
+		moved := perturb(t, cfg, f)
+		if moved.FieldKeyTerm(f) == cfg.FieldKeyTerm(f) {
+			t.Fatalf("perturb(%s) left the key term unchanged", f)
+		}
+		movedIDs := ids(moved)
+		for i := range Nodes {
+			name := Nodes[i].Name
+			in := slices.Contains(closures[name], f)
+			if split := movedIDs[name] != baseIDs[name]; split != in {
+				t.Errorf("changing %s: %s ID split=%v, closure holds it=%v", f, name, split, in)
+			}
+		}
+	}
+	workers := cfg
+	workers.Workers = 7
+	if !maps.Equal(ids(workers), baseIDs) {
+		t.Error("Workers moved an artifact ID")
+	}
+	// The clock sweep's instance: points share wlm/synth/place, split from opt on.
+	sweptIDs := ids(swept.Normalized())
+	for _, name := range []string{"wlm", "synth", "place"} {
+		if sweptIDs[name] != baseIDs[name] {
+			t.Errorf("clock sweep points do not share %s", name)
+		}
+	}
+	for _, name := range []string{"opt", "route", "signoff", "power", "report"} {
+		if sweptIDs[name] == baseIDs[name] {
+			t.Errorf("clock sweep points share %s", name)
+		}
+	}
+}
+
+// perturb returns cfg with one key field changed.
+func perturb(t *testing.T, cfg flow.Config, field string) flow.Config {
+	t.Helper()
+	switch field {
+	case "Activities":
+		cfg.Activities.PrimaryInput += 0.1
+	case "Circuit":
+		cfg.Circuit = "DES"
+	case "ClockPs":
+		cfg.ClockPs++
+	case "Equiv":
+		cfg.Equiv++
+	case "Lint":
+		cfg.Lint++
+	case "Mode":
+		cfg.Mode++
+	case "Node":
+		cfg.Node++
+	case "PinCapScale":
+		cfg.PinCapScale += 0.1
+	case "ResistivityScale":
+		cfg.ResistivityScale = map[tech.LayerClass]float64{tech.ClassGlobal: 2}
+	case "Scale":
+		cfg.Scale += 0.1
+	case "Seed":
+		cfg.Seed++
+	case "Use2DWLM":
+		cfg.Use2DWLM = !cfg.Use2DWLM
+	case "Util":
+		cfg.Util += 0.1
+	default:
+		t.Fatalf("perturb: no rule for key field %s", field)
+	}
+	return cfg
 }
 
 // Every inter-stage artifact edge the stagedeps analyzer measures over the

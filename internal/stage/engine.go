@@ -35,11 +35,13 @@ type Counters struct {
 	Executions uint64 `json:"execute"`
 }
 
-// RunStats summarizes one Run's cache behavior across all stages.
+// RunStats summarizes one run's cache behavior across all stages, plus the
+// wall-clock profile of the stage bodies it executed.
 type RunStats struct {
 	MemHits    int
 	DiskHits   int
 	Executions int
+	StageTimes []flow.StageTime
 }
 
 // Summary renders the stats in the form the serving layer's X-Stage-Hits
@@ -188,13 +190,13 @@ func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
 // RunStats is Run plus this run's cache accounting.
 func (e *Engine) RunStats(cfg flow.Config) (*flow.Result, RunStats, error) {
 	rc := e.newRun(cfg)
-	v, err := rc.artifact("report")
+	data, stats, err := rc.report()
 	if err != nil {
-		return nil, rc.stats, err
+		return nil, stats, err
 	}
-	res, err := flow.DecodeResult(v.([]byte))
+	res, err := flow.DecodeResult(data)
 	if err != nil {
-		return nil, rc.stats, err
+		return nil, stats, err
 	}
 	// Reattach the in-memory artifacts the wire payload excludes: the final
 	// implementation (for Verilog/DEF export) and this run's stage profile.
@@ -205,8 +207,40 @@ func (e *Engine) RunStats(cfg flow.Config) (*flow.Result, RunStats, error) {
 	sga := sv.(*signoffArtifact)
 	res.Design = sga.Design.Clone()
 	res.Placement = sga.Snap.Restore(res.Design)
-	res.StageTimes = rc.prof.Times()
-	return res, rc.stats, nil
+	res.StageTimes = stats.StageTimes
+	return res, stats, nil
+}
+
+// Report returns the report artifact for cfg — the canonical
+// flow.EncodeResult payload, byte-identical to encoding flow.Run(cfg) —
+// serving or executing whatever stages it needs, but skipping Run's decode of
+// the payload and its reattachment of the final implementation.
+func (e *Engine) Report(cfg flow.Config) ([]byte, RunStats, error) {
+	return e.newRun(cfg).report()
+}
+
+func (rc *runCtx) report() ([]byte, RunStats, error) {
+	v, err := rc.artifact("report")
+	rc.stats.StageTimes = rc.prof.Times()
+	if err != nil {
+		return nil, rc.stats, err
+	}
+	return v.([]byte), rc.stats, nil
+}
+
+// Cached looks up the report artifact for cfg in the memory tier only: no
+// store read, no execution — one ID hash and a map probe. A miss is Report's
+// to serve, from the store or by executing.
+func (e *Engine) Cached(cfg flow.Config) ([]byte, bool) {
+	id := artifactID(cfg.Normalized(), "report")
+	e.mu.Lock()
+	v, ok := e.memGet(id)
+	e.mu.Unlock()
+	if !ok {
+		return nil, false
+	}
+	e.event(nil, "report", EventMemHit)
+	return v.([]byte), true
 }
 
 // PlanEntry describes one DAG node's cache standing for a config.
@@ -298,8 +332,10 @@ func (e *Engine) evictLocked() {
 }
 
 // artifact serves one cached node: memory tier, then the store, then
-// execution (with inflight deduplication across concurrent runs).
-func (e *Engine) artifact(rc *runCtx, name string) (any, error) {
+// execution (with inflight deduplication across concurrent runs). A panicking
+// stage body still retires its inflight entry — waiters wake with an error
+// and a later run retries — before the panic continues up this run's stack.
+func (e *Engine) artifact(rc *runCtx, name string) (v any, err error) {
 	id := rc.ids[name]
 	e.mu.Lock()
 	if v, ok := e.memGet(id); ok {
@@ -324,15 +360,22 @@ func (e *Engine) artifact(rc *runCtx, name string) (any, error) {
 		e.event(rc, name, EventMemHit)
 		return c.v, nil
 	}
-	v, err := e.fill(rc, name, id)
-	c.v, c.err = v, err
-	e.mu.Lock()
-	delete(e.inflight, id)
-	if err == nil {
-		e.memPut(id, v)
-	}
-	e.mu.Unlock()
-	c.wg.Done()
+	panicked := true
+	defer func() {
+		if panicked {
+			v, err = nil, fmt.Errorf("stage: %s body panicked", name)
+		}
+		c.v, c.err = v, err
+		e.mu.Lock()
+		delete(e.inflight, id)
+		if err == nil {
+			e.memPut(id, v)
+		}
+		e.mu.Unlock()
+		c.wg.Done()
+	}()
+	v, err = e.fill(rc, name, id)
+	panicked = false
 	return v, err
 }
 

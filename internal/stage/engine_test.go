@@ -6,6 +6,7 @@ import (
 	"math"
 	"os"
 	"testing"
+	"time"
 
 	"tmi3d/internal/circuits"
 	"tmi3d/internal/flow"
@@ -288,5 +289,60 @@ func TestNonFiniteTimingRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(data, again) {
 		t.Fatalf("re-encoding differs:\n first %s\nsecond %s", data, again)
+	}
+}
+
+// A panicking stage body must not wedge its artifact: the panic reaches the
+// run that executed the body, concurrent runs waiting on the same artifact
+// wake with an error, and a later run retries instead of blocking forever on
+// a dead inflight entry.
+func TestStagePanicReleasesArtifact(t *testing.T) {
+	e, err := New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testConfig()
+	cfg.Mode = tech.Mode(99) // the library stage panics on an unknown mode
+	run := func() <-chan string {
+		out := make(chan string, 1)
+		go func() {
+			defer func() {
+				if recover() != nil {
+					out <- "panic"
+				}
+			}()
+			if _, err := e.Run(cfg); err != nil {
+				out <- "error"
+				return
+			}
+			out <- "ok"
+		}()
+		return out
+	}
+	for round := 0; round < 2; round++ {
+		runs := make([]<-chan string, 4)
+		for i := range runs {
+			runs[i] = run()
+		}
+		panics := 0
+		for i, out := range runs {
+			select {
+			case got := <-out:
+				switch got {
+				case "ok":
+					t.Fatalf("round %d run %d: an unknown mode ran to completion", round, i)
+				case "panic":
+					panics++
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d run %d: blocked on the panicked artifact", round, i)
+			}
+		}
+		if panics == 0 {
+			t.Fatalf("round %d: no run saw the stage panic", round)
+		}
+	}
+	if _, err := e.Run(testConfig()); err != nil {
+		t.Fatalf("engine unusable after a panicked stage: %v", err)
 	}
 }

@@ -129,15 +129,15 @@ fi
 
 stage serve-smoke
 # The serving layer's contract: a daemon answer is byte-identical to a direct
-# flow.Run. Boot on an ephemeral port (with the staged engine, so the
-# byte-identity check also covers staged serving), probe /healthz, fetch one
-# flow result twice (cold then cached), and diff against the direct encoding
-# via loadgen. Then a sequential clock sweep must show — via the stage
-# metrics — that synthesis and placement executed exactly once.
+# flow.Run. Boot on an ephemeral port with only a store (every job runs
+# through the stage engine over it), probe /healthz, fetch one flow result
+# twice (cold then cached), and diff against the direct encoding via
+# loadgen. Then a sequential clock sweep must show — via the stage metrics —
+# that synthesis and placement executed exactly once, with staging on by
+# default.
 go build -o "$pdir/tmi3d" ./cmd/tmi3d
 go build -o "$pdir/loadgen" ./cmd/loadgen
 "$pdir/tmi3d" serve -addr 127.0.0.1:0 -store "$pdir/store" \
-    -stagecache "$pdir/stagecache-serve" \
     -addrfile "$pdir/addr" 2>"$pdir/serve.log" &
 serve_pid=$!
 for _ in $(seq 1 100); do [ -s "$pdir/addr" ] && break; sleep 0.1; done
