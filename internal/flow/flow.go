@@ -219,16 +219,17 @@ func generated(name string, scale float64) (*netlist.Design, error) {
 	return e.d, e.err
 }
 
-// Run executes the full flow.
+// Run executes the full flow: the twelve stages in pipeline order, each cached
+// stage one call of its node function (nodes.go) — the same functions the
+// staged engine (internal/stage) calls on cached envelopes, which is what
+// makes staged execution byte-identical to this run.
 //
 // The //tmi3dvet:stage anchors segment the body into the named regions of the
-// per-stage incremental cache (internal/stage); the stagedeps analyzer
-// verifies each region's Config read set against the StageKeys manifest in
-// stagekeys.go, so a stage can never silently grow a dependency its cache key
-// does not cover, and the staged engine's declarative DAG is tested against
-// the analyzer's computed artifact edges. The stage bodies live in stages.go,
-// shared verbatim with the engine — that sharing, plus the manifest, is what
-// makes staged execution byte-identical to this monolith.
+// per-stage incremental cache; the stagedeps analyzer verifies each region's
+// Config read set against the StageKeys manifest in stagekeys.go, so a stage
+// can never silently grow a dependency its cache key does not cover, and the
+// staged engine's declarative DAG is tested against the analyzer's computed
+// artifact edges.
 func Run(cfg Config) (*Result, error) {
 	//tmi3dvet:stage setup
 	if cfg.Scale == 0 {
@@ -254,19 +255,18 @@ func Run(cfg Config) (*Result, error) {
 
 	//tmi3dvet:stage generate
 	t0 = time.Now()
-	d, calib, err := cfg.GenerateDesign()
+	gen, calib, err := cfg.GenerateDesign()
 	if err != nil {
 		return nil, err
 	}
 	prof.Add("generate", time.Since(t0))
 
-	// Wire load model: estimated die area from the generic netlist.
 	//tmi3dvet:stage wlm
-	model, util := cfg.BuildWLM(d, lib)
+	wa := cfg.WLMNode(lib, gen)
 
 	// Design-integrity and formal sign-off gates at the stage boundaries
 	// where the paper's flow runs Encounter sanity checks and Conformal/
-	// Formality compares; see GateSet.
+	// Formality compares; each gated node records into its own fresh set.
 	//tmi3dvet:stage gates
 	gs, err := cfg.Gates(lib, seed, prof)
 	if err != nil {
@@ -274,74 +274,52 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	//tmi3dvet:stage synth
-	sres, ref, err := RunSynth(d, lib, model, gs, prof)
+	sa, err := SynthNode(gen, lib, wa, gs.Fresh(), prof)
 	if err != nil {
 		return nil, err
 	}
-	d = sres.Design
 
 	//tmi3dvet:stage place
-	pl, err := RunPlace(d, t, lib, util, seed, workers, prof)
+	pa, err := PlaceNode(t, lib, wa, sa, seed, workers, prof)
 	if err != nil {
 		return nil, err
 	}
 
-	// Pre-route optimization on bounding-box parasitics. From here on the
-	// flow targets the sweep clock: the override steers optimization,
-	// sign-off, and power while the artifacts above stay clock-independent.
+	// From here on the flow targets the sweep clock: the override steers
+	// optimization, sign-off, and power while the artifacts above stay
+	// clock-independent.
 	//tmi3dvet:stage opt
-	clock := cfg.SweepClockPs(d.TargetClockPs, calib)
-	d.TargetClockPs = clock
-	tb := captable.Build(t, captable.Options{ResistivityScale: cfg.ResistivityScale})
-	areaBudget := pl.Die.Area() * 0.95
-	preStats, ref, err := ClosePreRoute(d, pl, tb, lib, areaBudget, ref, workers, gs, prof)
+	tb := cfg.CapTable(t)
+	oa, err := cfg.OptNode(lib, tb, sa, pa, calib, workers, gs.Fresh(), prof)
 	if err != nil {
 		return nil, err
 	}
+	// Run owns its envelopes: it drops each netlist after its last consumer,
+	// so a flow keeps at most two alive (the report reads only the synth and
+	// opt envelopes' statistics and gate reports).
+	sa.Design = nil
 
-	// Routing and extraction.
 	//tmi3dvet:stage route
-	rt, ex, err := RunRoute(pl, t, tb, workers, prof)
+	ra, err := RouteNode(t, oa, workers, prof)
 	if err != nil {
 		return nil, err
 	}
 
-	// Post-route optimization on extracted parasitics (power recovery on),
-	// then sign-off: final route + extraction + timing, with ECO-style
-	// re-closing on residual violations. One stage: post-route closure is
-	// keyed by the first route's parasitics, exactly as the staged engine's
-	// signoff node consumes the route artifact.
 	//tmi3dvet:stage signoff
-	postStats, err := ClosePostRoute(d, pl, tb, ex, lib, areaBudget, preStats, workers, prof)
+	so, err := SignoffNode(t, lib, tb, oa, ra, workers, gs.Fresh(), prof)
 	if err != nil {
 		return nil, err
 	}
-	rt, timing, finalWire, err := RunSignoff(d, pl, tb, t, lib, areaBudget, postStats, workers, prof)
-	if err != nil {
-		return nil, err
-	}
-	if err := gs.Lint("post-route", d); err != nil {
-		return nil, err
-	}
-	if err := gs.Equiv("post-route vs post-place", ref, d); err != nil {
-		return nil, err
-	}
+	oa.Design = nil
 
 	//tmi3dvet:stage power
-	pow, clk, err := RunPower(d, lib, finalWire, cfg.Activities, timing, clock, pl, tb, prof)
+	pw, err := cfg.PowerNode(t, lib, tb, so, prof)
 	if err != nil {
 		return nil, err
 	}
 
 	//tmi3dvet:stage report
-	lintReports, equivReports := gs.Reports()
-	res := AssembleResult(cfg, lib, ReportInputs{
-		Design: d, Placement: pl, Route: rt, Timing: timing, ClockPs: clock,
-		Power: pow, ClockTree: clk, OptStats: postStats, SynthStats: sres.Stats,
-		LintReports: lintReports, EquivReports: equivReports,
-		LibCheck: gs.LibCheck(), StageTimes: prof.Times(),
-	})
-	return res, nil
+	return ReportNode(cfg, lib, gs, sa, oa, so, pw, prof), nil
 }
 
 // estimateArea sums X1-mapped cell areas of the generic netlist.

@@ -11,12 +11,11 @@ import (
 )
 
 // GateSet carries one flow run's design-integrity and formal sign-off gates
-// (the Encounter sanity checks and the Conformal/Formality box of Fig 1). It
-// exists so the monolithic Run and the staged engine (internal/stage) execute
-// the byte-identical gate code: the same check order, the same subjects, the
-// same enforce/warn semantics. Reports accumulate in check order; the staged
-// engine builds one GateSet per stage execution and packages the accumulated
-// reports into that stage's artifact.
+// (the Encounter sanity checks and the Conformal/Formality box of Fig 1): the
+// check subjects and the enforce/warn semantics, plus the reports of the
+// checks run through it, in check order. Each gated node function takes a
+// Fresh set and packages its reports into that node's envelope; the report
+// node concatenates them in pipeline order.
 type GateSet struct {
 	subject   string
 	lintMode  lint.GateMode
@@ -93,6 +92,15 @@ func (g *GateSet) Equiv(stage string, ref, d *netlist.Design) error {
 		}
 	}
 	return nil
+}
+
+// Fresh returns a set with g's configuration and library check and no
+// reports: the per-node set a gated node function records into.
+func (g *GateSet) Fresh() *GateSet {
+	return &GateSet{
+		subject: g.subject, lintMode: g.lintMode, equivMode: g.equivMode,
+		lib: g.lib, seed: g.seed, prof: g.prof, libCheck: g.libCheck,
+	}
 }
 
 // NeedRef reports whether downstream equivalence checks need a reference

@@ -107,8 +107,8 @@ type StageTime struct {
 // Profile accumulates wall-clock per named stage, preserving first-seen
 // order so reports read in pipeline order. Stages that run more than once
 // (route, opt, sta in the ECO loop) accumulate. Exported so the staged
-// engine (internal/stage) can thread one profile through the same stage
-// helpers the monolithic Run uses; timing is observational only.
+// engine (internal/stage) can thread one profile through the node functions
+// Run calls; timing is observational only.
 type Profile struct {
 	order   []string
 	acc     map[string]time.Duration

@@ -25,10 +25,9 @@ import (
 	"tmi3d/internal/wlm"
 )
 
-// This file holds the stage bodies shared between the monolithic Run and the
-// staged engine (internal/stage). The byte-identity contract between the two
-// execution orders rests on both calling exactly these functions with
-// equal-valued inputs; keep stage logic here, not duplicated in the engine.
+// This file holds the stage helpers the node functions (nodes.go) are built
+// from. They mutate the design and placement they are given; the nodes own the
+// cloning.
 
 // Normalized returns the config with defaulted fields resolved the way Run's
 // setup stage resolves them (Scale 0 → 1.0). The staged engine keys artifacts
@@ -109,24 +108,33 @@ func (c Config) SweepClockPs(base, calib float64) float64 {
 // and runs the post-synth gates. It returns the synthesis result and the
 // reference snapshot for the next equivalence check (nil when equiv is off).
 func RunSynth(src *netlist.Design, lib *liberty.Library, model *wlm.Model, gs *GateSet, prof *Profile) (*synth.Result, *netlist.Design, error) {
-	t0 := time.Now()
-	sres, err := synth.Run(src, synth.Options{Lib: lib, WLM: model})
+	sres, err := synthGated(src, lib, model, gs, prof)
 	if err != nil {
-		return nil, nil, fmt.Errorf("flow %s: synth: %w", gs.subject, err)
-	}
-	d := sres.Design
-	prof.Add("synth", time.Since(t0))
-	if err := gs.Lint("post-synth", d); err != nil {
-		return nil, nil, err
-	}
-	if err := gs.Equiv("post-synth vs source", src, d); err != nil {
 		return nil, nil, err
 	}
 	var ref *netlist.Design
 	if gs.NeedRef() {
-		ref = d.Clone()
+		ref = sres.Design.Clone()
 	}
 	return sres, ref, nil
+}
+
+// synthGated is RunSynth without the reference snapshot. src is read-only:
+// synthesis maps a clone.
+func synthGated(src *netlist.Design, lib *liberty.Library, model *wlm.Model, gs *GateSet, prof *Profile) (*synth.Result, error) {
+	t0 := time.Now()
+	sres, err := synth.Run(src, synth.Options{Lib: lib, WLM: model})
+	if err != nil {
+		return nil, fmt.Errorf("flow %s: synth: %w", gs.subject, err)
+	}
+	prof.Add("synth", time.Since(t0))
+	if err := gs.Lint("post-synth", sres.Design); err != nil {
+		return nil, err
+	}
+	if err := gs.Equiv("post-synth vs source", src, sres.Design); err != nil {
+		return nil, err
+	}
+	return sres, nil
 }
 
 // RunPlace places the mapped netlist. It reserves headroom for optimization
@@ -149,6 +157,18 @@ func RunPlace(d *netlist.Design, t *tech.Technology, lib *liberty.Library, util 
 // reference; the returned design is the reference snapshot for the post-route
 // check (ref itself when equiv is off — i.e. nil stays nil).
 func ClosePreRoute(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *liberty.Library, areaBudget float64, ref *netlist.Design, workers int, gs *GateSet, prof *Profile) (*opt.Stats, *netlist.Design, error) {
+	preStats, err := closePreRouteGated(d, pl, tb, lib, areaBudget, ref, workers, gs, prof)
+	if err != nil {
+		return nil, nil, err
+	}
+	if gs.NeedRef() {
+		ref = d.Clone()
+	}
+	return preStats, ref, nil
+}
+
+// closePreRouteGated is ClosePreRoute without the reference snapshot.
+func closePreRouteGated(d *netlist.Design, pl *place.Placement, tb *captable.Table, lib *liberty.Library, areaBudget float64, ref *netlist.Design, workers int, gs *GateSet, prof *Profile) (*opt.Stats, error) {
 	t0 := time.Now()
 	estWire := hpwlWire(pl, tb)
 	preStats, err := opt.Close(d, opt.Options{
@@ -156,32 +176,36 @@ func ClosePreRoute(d *netlist.Design, pl *place.Placement, tb *captable.Table, l
 		Workers: workers,
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	prof.AddPar("opt", time.Since(t0), workers)
 	if err := gs.Lint("post-place", d); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := gs.Equiv("post-place vs post-synth", ref, d); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	nextRef := ref
-	if gs.NeedRef() {
-		nextRef = d.Clone()
-	}
-	return preStats, nextRef, nil
+	return preStats, nil
 }
 
 // RunRoute globally routes the placement and extracts parasitics.
 func RunRoute(pl *place.Placement, t *tech.Technology, tb *captable.Table, workers int, prof *Profile) (*route.Result, *rcx.Extraction, error) {
-	t0 := time.Now()
-	rt, err := route.Run(pl, route.Options{Tech: t, Workers: workers})
+	rt, err := globalRoute(pl, t, workers, prof)
 	if err != nil {
 		return nil, nil, err
 	}
-	ex := rcx.Extract(rt, tb, t)
+	return rt, rcx.Extract(rt, tb, t), nil
+}
+
+// globalRoute globally routes the placement.
+func globalRoute(pl *place.Placement, t *tech.Technology, workers int, prof *Profile) (*route.Result, error) {
+	t0 := time.Now()
+	rt, err := route.Run(pl, route.Options{Tech: t, Workers: workers})
+	if err != nil {
+		return nil, err
+	}
 	prof.AddPar("route", time.Since(t0), workers)
-	return rt, ex, nil
+	return rt, nil
 }
 
 // ClosePostRoute runs post-route optimization on extracted parasitics with
@@ -214,17 +238,13 @@ func RunSignoff(d *netlist.Design, pl *place.Placement, tb *captable.Table, t *t
 	var timing *sta.Result
 	var finalWire func(int) sta.WireRC
 	for pass := 0; ; pass++ {
-		t0 := time.Now()
 		var err error
-		rt, err = route.Run(pl, route.Options{Tech: t, Workers: workers})
+		rt, err = globalRoute(pl, t, workers, prof)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		ex := rcx.Extract(rt, tb, t)
-		prof.AddPar("route", time.Since(t0), workers)
-		finalSrc := extractedWire(ex, pl, tb)
-		finalWire = finalSrc.fn
-		t0 = time.Now()
+		finalWire = extractedWire(rcx.Extract(rt, tb, t), pl, tb).fn
+		t0 := time.Now()
 		timing, err = sta.Analyze(d, sta.Env{Lib: lib, Wire: finalWire, Workers: workers})
 		if err != nil {
 			return nil, nil, nil, err
@@ -246,15 +266,6 @@ func RunSignoff(d *netlist.Design, pl *place.Placement, tb *captable.Table, t *t
 		postStats.BuffersAdd += ecoStats.BuffersAdd
 	}
 	return rt, timing, finalWire, nil
-}
-
-// WireFromExtraction rebuilds the sign-off wire function from a routed
-// design's extraction — the staged engine's path to the finalWire the
-// monolith carries out of its sign-off loop. At loop exit the extraction is
-// fresh (nothing re-optimized after the last route), so the dirty set is
-// empty and the two functions agree on every net.
-func WireFromExtraction(ex *rcx.Extraction, pl *place.Placement, tb *captable.Table) func(int) sta.WireRC {
-	return extractedWire(ex, pl, tb).fn
 }
 
 // RunPower computes the sign-off power report, including the clock
@@ -285,8 +296,7 @@ func RunPower(d *netlist.Design, lib *liberty.Library, wire func(int) sta.WireRC
 	return pow, clk, nil
 }
 
-// ReportInputs bundles the final artifacts AssembleResult reads. The staged
-// engine fills it from cached artifacts; the monolith from its locals.
+// ReportInputs bundles the final artifacts AssembleResult reads.
 type ReportInputs struct {
 	Design     *netlist.Design
 	Placement  *place.Placement

@@ -2,8 +2,8 @@ package flow
 
 // WireTypes is the declarative manifest of every type whose encoded form
 // crosses a process boundary: the daemon response (EncodeResult/DecodeResult
-// over Result), the staged engine's per-stage artifact payloads
-// (internal/stage/artifacts.go), and the castore entry header. The wiresafe
+// over Result), the per-stage artifact envelopes of nodes.go (the staged
+// engine's cache entries), and the castore entry header. The wiresafe
 // analyzer (internal/vet) proves each entry's codec total and symmetric on
 // every CI run: a struct field silently dropped by its Marshal/Unmarshal
 // pair, a field the decoder restores but the encoder never writes, or a
@@ -22,28 +22,28 @@ package flow
 // within one process a dropped field is a cache-tier identity bug; across a
 // worker fleet it is silent result corruption.
 var WireTypes = map[string][]string{
-	"internal/castore.storeHeader":   {},
-	"internal/cts.Result":            {},
-	"internal/equiv.LibReport":       {},
-	"internal/equiv.Report":          {},
-	"internal/flow.Config":           {},
-	"internal/flow.Result":           {},
-	"internal/liberty.Library":       {},
-	"internal/lint.Report":           {},
-	"internal/netlist.Design":        {},
-	"internal/netlist.Net":           {},
-	"internal/netlist.Stats":         {},
-	"internal/opt.Stats":             {},
-	"internal/place.Snapshot":        {},
-	"internal/power.Report":          {},
-	"internal/route.Result":          {},
-	"internal/sta.Result":            {"nonfinite"},
-	"internal/stage.optArtifact":     {},
-	"internal/stage.placeArtifact":   {},
-	"internal/stage.powerArtifact":   {},
-	"internal/stage.routeArtifact":   {},
-	"internal/stage.signoffArtifact": {},
-	"internal/stage.synthArtifact":   {},
-	"internal/stage.wlmArtifact":     {},
-	"internal/wlm.Model":             {},
+	"internal/castore.storeHeader":  {},
+	"internal/cts.Result":           {},
+	"internal/equiv.LibReport":      {},
+	"internal/equiv.Report":         {},
+	"internal/flow.Config":          {},
+	"internal/flow.OptArtifact":     {},
+	"internal/flow.PlaceArtifact":   {},
+	"internal/flow.PowerArtifact":   {},
+	"internal/flow.Result":          {},
+	"internal/flow.RouteArtifact":   {},
+	"internal/flow.SignoffArtifact": {},
+	"internal/flow.SynthArtifact":   {},
+	"internal/flow.WLMArtifact":     {},
+	"internal/liberty.Library":      {},
+	"internal/lint.Report":          {},
+	"internal/netlist.Design":       {},
+	"internal/netlist.Net":          {},
+	"internal/netlist.Stats":        {},
+	"internal/opt.Stats":            {},
+	"internal/place.Snapshot":       {},
+	"internal/power.Report":         {},
+	"internal/route.Result":         {},
+	"internal/sta.Result":           {"nonfinite"},
+	"internal/wlm.Model":            {},
 }

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"tmi3d/internal/core"
+	"tmi3d/internal/flow"
 	"tmi3d/internal/tech"
 )
 
@@ -53,28 +54,21 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-type studyEntry struct {
-	study *core.Study
-}
-
-// studyFor returns the shared experiment engine for a (scale, seed) point.
-// Sharing matters: every table at a scale reuses the same flow cache, so
-// serving table13 after table4 costs only the delta flows.
-func (s *Server) studyFor(scale float64, seed uint64) *core.Study {
-	key := strconv.FormatFloat(scale, 'g', -1, 64) + "|" + strconv.FormatUint(seed, 10)
-	s.studyMu.Lock()
-	defer s.studyMu.Unlock()
-	e, ok := s.studies[key]
-	if !ok {
-		st := core.NewStudy(scale)
-		st.Seed = seed
-		// Experiment flows route through the engine: sweep points sharing
-		// upstream stages reuse their artifacts.
-		st.Runner = s.engine.Run
-		e = &studyEntry{study: st}
-		s.studies[key] = e
+// study returns a fresh study for one render at a (scale, seed) point. Its
+// flows decode the engine's report artifacts, so renders share every flow
+// through the engine's tiers, and the daemon holds no decoded results
+// between renders.
+func (s *Server) study(scale float64, seed uint64) *core.Study {
+	st := core.NewStudy(scale)
+	st.Seed = seed
+	st.Runner = func(cfg flow.Config) (*flow.Result, error) {
+		data, _, err := s.engine.Report(cfg)
+		if err != nil {
+			return nil, err
+		}
+		return flow.DecodeResult(data)
 	}
-	return e.study
+	return st
 }
 
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
@@ -121,14 +115,16 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 		id, strconv.FormatFloat(scale, 'g', -1, 64), seed)
 	store := s.engine.Store()
 	data, ok, err := store.Get(key)
+	if err != nil {
+		// A store failure degrades to recomputation, not a failed request.
+		s.logger.Warn("store get failed", "key", key, "error", err.Error())
+	}
 	source := "disk"
-	switch {
-	case err != nil:
-	case ok:
+	if ok {
 		s.metrics.Add("tmi3d_cache_hits_total", `tier="disk"`, 1)
-	default:
+	} else {
 		data, source, err = s.compute(r.Context(), key, func() ([]byte, error) {
-			text, err := gen(s.studyFor(scale, seed))
+			text, err := gen(s.study(scale, seed))
 			if err != nil {
 				return nil, err
 			}

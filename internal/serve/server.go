@@ -102,10 +102,6 @@ type Server struct {
 	// report is the ppa job body, engine.Report; tests wrap it to inject
 	// latency or failures.
 	report func(flow.Config) ([]byte, stage.RunStats, error)
-
-	// studies caches experiment engines per (scale, seed).
-	studyMu sync.Mutex
-	studies map[string]*studyEntry
 }
 
 // NewServer opens the engine over the store and starts the worker pool. The
@@ -138,7 +134,6 @@ func NewServer(cfg Config) (*Server, error) {
 		jobs:    map[string]*job{},
 		queue:   make(chan *job, cfg.QueueDepth),
 		ewmaSec: 30,
-		studies: map[string]*studyEntry{},
 	}
 	s.registerMetrics()
 	eng.Store().OnQuarantine = func(path string, reason error) {
@@ -158,6 +153,9 @@ func NewServer(cfg Config) (*Server, error) {
 			s.metrics.Add("tmi3d_stage_misses_total", `stage="`+stageName+`"`, 1)
 		case stage.EventExecute:
 			s.metrics.Add("tmi3d_stage_executions_total", `stage="`+stageName+`"`, 1)
+		case stage.EventStoreError:
+			s.metrics.Add("tmi3d_stage_store_errors_total", `stage="`+stageName+`"`, 1)
+			s.logger.Warn("stage store read or write failed; artifact recomputed or not persisted", "stage", stageName)
 		}
 	})
 	s.httpSrv = &http.Server{Handler: s.Handler()}
@@ -192,6 +190,7 @@ func (s *Server) registerMetrics() {
 	m.Counter("tmi3d_stage_hits_total", "Staged-flow artifact cache hits by stage and tier (mem or disk).")
 	m.Counter("tmi3d_stage_misses_total", "Staged-flow artifact cache misses by stage (a stage execution followed).")
 	m.Counter("tmi3d_stage_executions_total", "Staged-flow stage-body executions by stage.")
+	m.Counter("tmi3d_stage_store_errors_total", "Failed store reads (served as misses) and writes (artifact kept in memory only) by stage.")
 	m.Gauge("tmi3d_stage_store_entries", "Live entries in the store.", func() float64 {
 		n, _ := s.engine.StoreLen()
 		return float64(n)

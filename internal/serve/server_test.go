@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -560,6 +562,79 @@ func TestExperimentStatic(t *testing.T) {
 	if string(body) != string(body2) {
 		t.Fatal("table render not byte-stable")
 	}
+}
+
+// TestStoreFaultRecomputes: a store that breaks after the daemon opened it
+// costs recomputation, not failed requests. The ppa payload still equals the
+// direct encoding, the failures are counted and logged, and an experiment
+// render whose store read fails is computed instead of answering 500.
+func TestStoreFaultRecomputes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	var log syncBuffer
+	s, ts := newTestServer(t, Config{StoreDir: dir, Workers: 2, LogWriter: &log}, nil)
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	code, _, body := get(t, ts.URL+"/v1/ppa?"+fpuQuery)
+	if code != 200 {
+		t.Fatalf("ppa over a broken store: status %d (%s)", code, body)
+	}
+	if string(body) != string(directPayload(t, fpuQuery)) {
+		t.Fatal("ppa over a broken store differs from the direct encoding")
+	}
+	if v := s.metrics.CounterValue("tmi3d_stage_store_errors_total", `stage="report"`); v < 1 {
+		t.Errorf("tmi3d_stage_store_errors_total{stage=\"report\"} = %v, want >= 1", v)
+	}
+	if !strings.Contains(log.String(), `"level":"WARN"`) {
+		t.Errorf("no WARN line logged for the store errors:\n%s", log.String())
+	}
+	code, _, body = get(t, ts.URL+"/v1/experiment/table1")
+	if code != 200 || len(body) == 0 {
+		t.Fatalf("experiment over a broken store: status %d (%s)", code, body)
+	}
+}
+
+// TestExperimentsShareFlowsThroughEngine: the daemon keeps no study between
+// renders, yet a second table over the same flows executes no report stage —
+// the engine's tiers serve every flow.
+func TestExperimentsShareFlowsThroughEngine(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1}, nil)
+	code, _, body := get(t, ts.URL+"/v1/experiment/table4?scale=0.05")
+	if code != 200 {
+		t.Fatalf("table4: status %d (%s)", code, body)
+	}
+	before := s.engine.Counters()["report"].Executions
+	if before == 0 {
+		t.Fatal("table4 executed no report stage")
+	}
+	code, _, body = get(t, ts.URL+"/v1/experiment/table13?scale=0.05")
+	if code != 200 {
+		t.Fatalf("table13: status %d (%s)", code, body)
+	}
+	if after := s.engine.Counters()["report"].Executions; after != before {
+		t.Errorf("table13 executed %d report stages after table4, want 0", after-before)
+	}
+}
+
+// syncBuffer is a log sink safe for the daemon's concurrent writers.
+type syncBuffer struct {
+	mu  sync.Mutex
+	buf strings.Builder
+}
+
+func (b *syncBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *syncBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
 }
 
 func TestHealthz(t *testing.T) {

@@ -5,84 +5,13 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"tmi3d/internal/cts"
-	"tmi3d/internal/equiv"
-	"tmi3d/internal/lint"
-	"tmi3d/internal/netlist"
-	"tmi3d/internal/opt"
-	"tmi3d/internal/place"
-	"tmi3d/internal/power"
-	"tmi3d/internal/route"
-	"tmi3d/internal/sta"
-	"tmi3d/internal/wlm"
+	"tmi3d/internal/flow"
 )
 
-// Artifact envelopes: the wire form of each cached node's output. Every
-// envelope encodes canonically (encoding/json with sorted map keys, HTML
-// escaping off) and decodes to an exact inverse — artifact IDs address these
-// bytes, and the byte-identity tests re-encode decoded envelopes to prove it.
-//
-// The report node has no envelope: its artifact is the raw flow.EncodeResult
-// payload, byte-for-byte what the serving layer stores and serves.
-
-// wlmArtifact is the wire-load-model node's output: the model plus the
-// resolved target utilization (placement consumes both).
-type wlmArtifact struct {
-	Model *wlm.Model `json:"model"`
-	Util  float64    `json:"util"`
-}
-
-// synthArtifact is the mapped netlist with its synthesis statistics and the
-// post-synth gate reports.
-type synthArtifact struct {
-	Design *netlist.Design `json:"design"`
-	Stats  netlist.Stats   `json:"stats"`
-	Lint   []*lint.Report  `json:"lint,omitempty"`
-	Equiv  []*equiv.Report `json:"equiv,omitempty"`
-}
-
-// placeArtifact is the placement geometry; the design it places is the synth
-// artifact, rebound on consumption.
-type placeArtifact struct {
-	Snap place.Snapshot `json:"snapshot"`
-}
-
-// optArtifact is the pre-route-closed implementation: the optimized netlist,
-// its placement (optimization moves cells and adds buffers), the pre-route
-// optimization statistics, and the post-place gate reports.
-type optArtifact struct {
-	Design   *netlist.Design `json:"design"`
-	Snap     place.Snapshot  `json:"snapshot"`
-	PreStats *opt.Stats      `json:"pre_stats"`
-	Lint     []*lint.Report  `json:"lint,omitempty"`
-	Equiv    []*equiv.Report `json:"equiv,omitempty"`
-}
-
-// routeArtifact is the first global route of the pre-route-closed placement;
-// sign-off extracts its parasitics for post-route optimization.
-type routeArtifact struct {
-	Route *route.Result `json:"route"`
-}
-
-// signoffArtifact is the converged final implementation: the post-route
-// optimized netlist and placement, the final route and sign-off timing, the
-// accumulated optimization statistics (pre-route + post-route + ECO), and the
-// post-route gate reports.
-type signoffArtifact struct {
-	Design *netlist.Design `json:"design"`
-	Snap   place.Snapshot  `json:"snapshot"`
-	Route  *route.Result   `json:"route"`
-	Timing *sta.Result     `json:"timing"`
-	Stats  *opt.Stats      `json:"stats"`
-	Lint   []*lint.Report  `json:"lint,omitempty"`
-	Equiv  []*equiv.Report `json:"equiv,omitempty"`
-}
-
-// powerArtifact is the sign-off power report plus the clock tree it charged.
-type powerArtifact struct {
-	Power *power.Report `json:"power"`
-	Clock *cts.Result   `json:"clock_tree"`
-}
+// Artifact codec. Each cached node's artifact is the canonical encoding of
+// its flow envelope (flow.WLMArtifact through flow.PowerArtifact); the report
+// node's is the raw flow.EncodeResult payload, byte-for-byte what the serving
+// layer serves.
 
 // encodeArtifact renders the canonical bytes of an envelope.
 func encodeArtifact(v any) ([]byte, error) {
@@ -103,19 +32,19 @@ func decodeNode(name string, data []byte) (any, error) {
 	var v any
 	switch name {
 	case "wlm":
-		v = &wlmArtifact{}
+		v = &flow.WLMArtifact{}
 	case "synth":
-		v = &synthArtifact{}
+		v = &flow.SynthArtifact{}
 	case "place":
-		v = &placeArtifact{}
+		v = &flow.PlaceArtifact{}
 	case "opt":
-		v = &optArtifact{}
+		v = &flow.OptArtifact{}
 	case "route":
-		v = &routeArtifact{}
+		v = &flow.RouteArtifact{}
 	case "signoff":
-		v = &signoffArtifact{}
+		v = &flow.SignoffArtifact{}
 	case "power":
-		v = &powerArtifact{}
+		v = &flow.PowerArtifact{}
 	case "report":
 		// The report artifact is the flow result's wire payload itself.
 		return data, nil

@@ -26,12 +26,12 @@
 // # Byte identity
 //
 // Staged results are byte-identical to monolithic flow.Run under any cache
-// state. The argument: every node executes the same exported stage helper
-// (flow.RunSynth, flow.ClosePreRoute, ...) the monolith calls, on inputs that
-// are either equal-valued clones of cached artifacts or recomputed pure
-// values; artifact codecs are exact inverses; and cached artifacts are
-// immutable (consumers clone before mutating). Tests diff report, Verilog,
-// and DEF bytes across cold, warm, and partial-hit stores.
+// state. The argument: both executors call the same flow node function for
+// every cached stage (flow.SynthNode, flow.OptNode, ...), whose inputs are
+// upstream envelopes and recomputed per-run values; artifact codecs are exact
+// inverses; and envelopes are immutable (node functions clone what they
+// mutate). Tests diff report, Verilog, and DEF bytes across cold, warm,
+// partial-hit and broken stores.
 package stage
 
 import (

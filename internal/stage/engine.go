@@ -9,13 +9,10 @@ import (
 
 	"tmi3d/internal/captable"
 	"tmi3d/internal/castore"
-	"tmi3d/internal/equiv"
 	"tmi3d/internal/flow"
 	"tmi3d/internal/liberty"
-	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/par"
-	"tmi3d/internal/rcx"
 	"tmi3d/internal/tech"
 )
 
@@ -25,14 +22,19 @@ const (
 	EventDiskHit = "hit_disk" // artifact loaded and verified from the store
 	EventMiss    = "miss"     // cached node not found in any tier
 	EventExecute = "execute"  // node body ran (every miss, plus uncached nodes)
+	// EventStoreError marks a failed store read (served as a miss) or write
+	// (the computed artifact is kept): a broken store costs recomputation,
+	// never a run.
+	EventStoreError = "store_error"
 )
 
 // Counters is one stage's cumulative cache accounting.
 type Counters struct {
-	MemHits    uint64 `json:"hit_mem"`
-	DiskHits   uint64 `json:"hit_disk"`
-	Misses     uint64 `json:"miss"`
-	Executions uint64 `json:"execute"`
+	MemHits     uint64 `json:"hit_mem"`
+	DiskHits    uint64 `json:"hit_disk"`
+	Misses      uint64 `json:"miss"`
+	Executions  uint64 `json:"execute"`
+	StoreErrors uint64 `json:"store_error"`
 }
 
 // RunStats summarizes one run's cache behavior across all stages, plus the
@@ -50,8 +52,8 @@ func (s RunStats) Summary() string {
 	return fmt.Sprintf("mem=%d disk=%d run=%d", s.MemHits, s.DiskHits, s.Executions)
 }
 
-// memLimit is the default in-process artifact cache capacity (entries). Eight
-// cached nodes per flow point means the default holds roughly eight sweep
+// memLimit is the in-process artifact cache capacity (entries). Eight
+// cached nodes per flow point means the cache holds roughly eight sweep
 // points of hot artifacts.
 const memLimit = 64
 
@@ -68,7 +70,6 @@ type Engine struct {
 	mu       sync.Mutex
 	mem      map[string]*list.Element // artifact ID → LRU element
 	lru      *list.List               // of *memEntry, front = most recent
-	limit    int
 	inflight map[string]*call
 	counters map[string]*Counters
 	onEvent  func(stage, event string)
@@ -93,7 +94,6 @@ func New(dir string) (*Engine, error) {
 	e := &Engine{
 		mem:      map[string]*list.Element{},
 		lru:      list.New(),
-		limit:    memLimit,
 		inflight: map[string]*call{},
 		counters: map[string]*Counters{},
 	}
@@ -110,17 +110,6 @@ func New(dir string) (*Engine, error) {
 // Store exposes the persistent tier (nil when in-process only) — the serving
 // layer hangs its quarantine metrics off it, tests corrupt entries through it.
 func (e *Engine) Store() *castore.Store { return e.store }
-
-// SetMemLimit resizes the in-process artifact cache (entries; minimum 1).
-func (e *Engine) SetMemLimit(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.mu.Lock()
-	e.limit = n
-	e.evictLocked()
-	e.mu.Unlock()
-}
 
 // OnEvent registers an observer of cache events (metrics export). The
 // callback runs synchronously on the run's goroutine; it must not call back
@@ -162,6 +151,8 @@ func (e *Engine) event(rc *runCtx, stage, ev string) {
 		c.Misses++
 	case EventExecute:
 		c.Executions++
+	case EventStoreError:
+		c.StoreErrors++
 	}
 	e.mu.Unlock()
 	if rc != nil {
@@ -204,7 +195,7 @@ func (e *Engine) RunStats(cfg flow.Config) (*flow.Result, RunStats, error) {
 	if err != nil {
 		return nil, rc.stats, err
 	}
-	sga := sv.(*signoffArtifact)
+	sga := sv.(*flow.SignoffArtifact)
 	res.Design = sga.Design.Clone()
 	res.Placement = sga.Snap.Restore(res.Design)
 	res.StageTimes = stats.StageTimes
@@ -320,11 +311,7 @@ func (e *Engine) memPut(id string, v any) {
 		return
 	}
 	e.mem[id] = e.lru.PushFront(&memEntry{id: id, v: v})
-	e.evictLocked()
-}
-
-func (e *Engine) evictLocked() {
-	for e.lru.Len() > e.limit {
+	for e.lru.Len() > memLimit {
 		el := e.lru.Back()
 		e.lru.Remove(el)
 		delete(e.mem, el.Value.(*memEntry).id)
@@ -380,13 +367,15 @@ func (e *Engine) artifact(rc *runCtx, name string) (v any, err error) {
 }
 
 // fill loads a node's artifact from the store or executes it, publishing
-// fresh bytes back to the store. Both paths return the decoded form.
+// fresh bytes back to the store. Both paths return the decoded form. A store
+// that fails to read or write degrades to recomputation, counted as a
+// store_error event.
 func (e *Engine) fill(rc *runCtx, name, id string) (any, error) {
 	key := storeKey(name, id)
 	if e.store != nil {
 		data, ok, err := e.store.Get(key)
 		if err != nil {
-			return nil, err
+			e.event(rc, name, EventStoreError)
 		}
 		if ok {
 			if v, derr := decodeNode(name, data); derr == nil {
@@ -404,7 +393,7 @@ func (e *Engine) fill(rc *runCtx, name, id string) (any, error) {
 	}
 	if e.store != nil {
 		if err := e.store.Put(key, data); err != nil {
-			return nil, err
+			e.event(rc, name, EventStoreError)
 		}
 	}
 	return decodeNode(name, data)
@@ -421,17 +410,16 @@ type runCtx struct {
 	prof  *flow.Profile
 	stats RunStats
 
-	setupDone bool
-	seed      uint64
-	workers   int
-
-	t   *tech.Technology
-	lib *liberty.Library
-
-	gen   *netlist.Design
-	calib float64
-
-	gatesCounted bool
+	// Per-run values, resolved on first use by a node that declares them.
+	resolved map[string]bool
+	seed     uint64
+	workers  int
+	calib    float64
+	t        *tech.Technology
+	lib      *liberty.Library
+	gen      *netlist.Design
+	gs       *flow.GateSet
+	tb       *captable.Table
 
 	arts map[string]any
 }
@@ -439,11 +427,12 @@ type runCtx struct {
 func (e *Engine) newRun(cfg flow.Config) *runCtx {
 	cfg = cfg.Normalized()
 	return &runCtx{
-		eng:  e,
-		cfg:  cfg,
-		ids:  ids(cfg),
-		prof: flow.NewProfile(),
-		arts: map[string]any{},
+		eng:      e,
+		cfg:      cfg,
+		ids:      ids(cfg),
+		prof:     flow.NewProfile(),
+		resolved: map[string]bool{},
+		arts:     map[string]any{},
 	}
 }
 
@@ -459,310 +448,95 @@ func (rc *runCtx) artifact(name string) (any, error) {
 	return v, nil
 }
 
-// The uncached nodes execute lazily, at most once per run (gates excepted:
-// every consuming stage builds a fresh set, matching the fresh accumulation
-// state the monolith's single set has at that stage's boundary).
-
-func (rc *runCtx) setup() {
-	if rc.setupDone {
-		return
+// resolve makes one declared dependency available: a cached node's artifact,
+// or an uncached node's per-run values, computed at most once per run.
+func (rc *runCtx) resolve(name string) error {
+	n := nodeByName[name]
+	if n.Cached {
+		_, err := rc.artifact(name)
+		return err
 	}
-	rc.seed = rc.cfg.DeriveSeed()
-	rc.workers = par.Budget(rc.cfg.Workers)
-	rc.setupDone = true
-	rc.eng.event(rc, "setup", EventExecute)
-}
-
-func (rc *runCtx) library() (*tech.Technology, *liberty.Library, error) {
-	if rc.lib != nil {
-		return rc.t, rc.lib, nil
+	if rc.resolved[name] {
+		return nil
 	}
-	rc.setup()
+	for _, dep := range n.Deps {
+		if err := rc.resolve(dep); err != nil {
+			return err
+		}
+	}
+	var err error
 	t0 := time.Now()
-	t, lib, err := rc.cfg.Library()
-	if err != nil {
-		return nil, nil, err
+	switch name {
+	case "setup":
+		rc.seed = rc.cfg.DeriveSeed()
+		rc.workers = par.Budget(rc.cfg.Workers)
+		// The generate stage's calibration factor, without generating.
+		rc.calib = flow.ClockCalibrationFactor(rc.cfg.Circuit, rc.cfg.Node)
+	case "library":
+		rc.t, rc.lib, err = rc.cfg.Library()
+		rc.prof.Add("library", time.Since(t0))
+	case "generate":
+		rc.gen, _, err = rc.cfg.GenerateDesign()
+		rc.prof.Add("generate", time.Since(t0))
+	case "gates":
+		rc.gs, err = rc.cfg.Gates(rc.lib, rc.seed, rc.prof)
 	}
-	rc.prof.Add("library", time.Since(t0))
-	rc.t, rc.lib = t, lib
-	rc.eng.event(rc, "library", EventExecute)
-	return t, lib, nil
+	if err != nil {
+		return err
+	}
+	rc.resolved[name] = true
+	rc.eng.event(rc, name, EventExecute)
+	return nil
 }
 
-func (rc *runCtx) generate() (*netlist.Design, float64, error) {
-	if rc.gen != nil {
-		return rc.gen, rc.calib, nil
-	}
-	rc.setup()
-	t0 := time.Now()
-	d, calib, err := rc.cfg.GenerateDesign()
-	if err != nil {
-		return nil, 0, err
-	}
-	rc.prof.Add("generate", time.Since(t0))
-	rc.gen, rc.calib = d, calib
-	rc.eng.event(rc, "generate", EventExecute)
-	return d, calib, nil
-}
-
-func (rc *runCtx) gates() (*flow.GateSet, error) {
-	_, lib, err := rc.library()
-	if err != nil {
-		return nil, err
-	}
-	gs, err := rc.cfg.Gates(lib, rc.seed, rc.prof)
-	if err != nil {
-		return nil, err
-	}
-	if !rc.gatesCounted {
-		rc.gatesCounted = true
-		rc.eng.event(rc, "gates", EventExecute)
-	}
-	return gs, nil
-}
-
-// captable rebuilds the RC table consumers of the opt cone need. Its inputs
-// (technology, ResistivityScale) are pinned by the consumer's artifact ID
-// through the opt dependency, so recomputing it is sound.
+// captable is the RC table of the opt cone. Its inputs (technology,
+// ResistivityScale) are pinned by the consumer's artifact ID through the opt
+// dependency.
 func (rc *runCtx) captable() *captable.Table {
-	return captable.Build(rc.t, captable.Options{ResistivityScale: rc.cfg.ResistivityScale})
+	if rc.tb == nil {
+		rc.tb = rc.cfg.CapTable(rc.t)
+	}
+	return rc.tb
 }
 
-// execute runs one cached node's stage body — the same stages.go helpers the
-// monolithic flow.Run calls, on clones of the consumed artifacts — and
-// returns the canonical artifact bytes.
+// execute runs one cached node: it resolves the node's declared deps, calls
+// the flow node function flow.Run calls, and encodes the returned envelope.
 func (rc *runCtx) execute(name string) ([]byte, error) {
 	rc.eng.event(rc, name, EventExecute)
+	for _, dep := range nodeByName[name].Deps {
+		if err := rc.resolve(dep); err != nil {
+			return nil, err
+		}
+	}
+	a := rc.arts
+	var v any
+	var err error
 	switch name {
 	case "wlm":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		d, _, err := rc.generate()
-		if err != nil {
-			return nil, err
-		}
-		model, util := rc.cfg.BuildWLM(d, lib)
-		return encodeArtifact(wlmArtifact{Model: model, Util: util})
-
+		v = rc.cfg.WLMNode(rc.lib, rc.gen)
 	case "synth":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		src, _, err := rc.generate()
-		if err != nil {
-			return nil, err
-		}
-		wv, err := rc.artifact("wlm")
-		if err != nil {
-			return nil, err
-		}
-		gs, err := rc.gates()
-		if err != nil {
-			return nil, err
-		}
-		d := src.Clone()
-		sres, _, err := flow.RunSynth(d, lib, wv.(*wlmArtifact).Model, gs, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		lintR, equivR := gs.Reports()
-		return encodeArtifact(synthArtifact{
-			Design: sres.Design, Stats: sres.Stats, Lint: lintR, Equiv: equivR,
-		})
-
+		v, err = flow.SynthNode(rc.gen, rc.lib, a["wlm"].(*flow.WLMArtifact), rc.gs.Fresh(), rc.prof)
 	case "place":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		wv, err := rc.artifact("wlm")
-		if err != nil {
-			return nil, err
-		}
-		sv, err := rc.artifact("synth")
-		if err != nil {
-			return nil, err
-		}
-		d := sv.(*synthArtifact).Design.Clone()
-		pl, err := flow.RunPlace(d, rc.t, lib, wv.(*wlmArtifact).Util, rc.seed, rc.workers, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		return encodeArtifact(placeArtifact{Snap: pl.Snapshot()})
-
+		v, err = flow.PlaceNode(rc.t, rc.lib, a["wlm"].(*flow.WLMArtifact), a["synth"].(*flow.SynthArtifact),
+			rc.seed, rc.workers, rc.prof)
 	case "opt":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		sv, err := rc.artifact("synth")
-		if err != nil {
-			return nil, err
-		}
-		pv, err := rc.artifact("place")
-		if err != nil {
-			return nil, err
-		}
-		gs, err := rc.gates()
-		if err != nil {
-			return nil, err
-		}
-		sa := sv.(*synthArtifact)
-		d := sa.Design.Clone()
-		pl := pv.(*placeArtifact).Snap.Restore(d)
-		calib := flow.ClockCalibrationFactor(rc.cfg.Circuit, rc.cfg.Node)
-		d.TargetClockPs = rc.cfg.SweepClockPs(d.TargetClockPs, calib)
-		tb := rc.captable()
-		areaBudget := pl.Die.Area() * 0.95
-		// The post-synth equivalence reference is the synth artifact itself:
-		// value-equal to the monolith's post-synth snapshot, read-only here.
-		preStats, _, err := flow.ClosePreRoute(d, pl, tb, lib, areaBudget, sa.Design, rc.workers, gs, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		lintR, equivR := gs.Reports()
-		return encodeArtifact(optArtifact{
-			Design: d, Snap: pl.Snapshot(), PreStats: preStats, Lint: lintR, Equiv: equivR,
-		})
-
+		v, err = rc.cfg.OptNode(rc.lib, rc.captable(), a["synth"].(*flow.SynthArtifact), a["place"].(*flow.PlaceArtifact),
+			rc.calib, rc.workers, rc.gs.Fresh(), rc.prof)
 	case "route":
-		_, _, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		ov, err := rc.artifact("opt")
-		if err != nil {
-			return nil, err
-		}
-		oa := ov.(*optArtifact)
-		pl := oa.Snap.Restore(oa.Design)
-		rt, _, err := flow.RunRoute(pl, rc.t, rc.captable(), rc.workers, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		return encodeArtifact(routeArtifact{Route: rt})
-
+		v, err = flow.RouteNode(rc.t, a["opt"].(*flow.OptArtifact), rc.workers, rc.prof)
 	case "signoff":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		ov, err := rc.artifact("opt")
-		if err != nil {
-			return nil, err
-		}
-		rv, err := rc.artifact("route")
-		if err != nil {
-			return nil, err
-		}
-		gs, err := rc.gates()
-		if err != nil {
-			return nil, err
-		}
-		oa := ov.(*optArtifact)
-		d := oa.Design.Clone()
-		pl := oa.Snap.Restore(d)
-		tb := rc.captable()
-		areaBudget := pl.Die.Area() * 0.95
-		ex := rcx.Extract(rv.(*routeArtifact).Route, tb, rc.t)
-		postStats, err := flow.ClosePostRoute(d, pl, tb, ex, lib, areaBudget, oa.PreStats, rc.workers, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		rt, timing, _, err := flow.RunSignoff(d, pl, tb, rc.t, lib, areaBudget, postStats, rc.workers, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		if err := gs.Lint("post-route", d); err != nil {
-			return nil, err
-		}
-		// The post-place reference is the opt artifact's design, read-only.
-		if err := gs.Equiv("post-route vs post-place", oa.Design, d); err != nil {
-			return nil, err
-		}
-		lintR, equivR := gs.Reports()
-		return encodeArtifact(signoffArtifact{
-			Design: d, Snap: pl.Snapshot(), Route: rt, Timing: timing,
-			Stats: postStats, Lint: lintR, Equiv: equivR,
-		})
-
+		v, err = flow.SignoffNode(rc.t, rc.lib, rc.captable(), a["opt"].(*flow.OptArtifact), a["route"].(*flow.RouteArtifact),
+			rc.workers, rc.gs.Fresh(), rc.prof)
 	case "power":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		sv, err := rc.artifact("signoff")
-		if err != nil {
-			return nil, err
-		}
-		sga := sv.(*signoffArtifact)
-		d := sga.Design
-		pl := sga.Snap.Restore(d)
-		tb := rc.captable()
-		// The extraction of the final route is fresh at sign-off exit
-		// (nothing re-optimized after the last route), so rebuilding the wire
-		// function from it reproduces the monolith's finalWire on every net.
-		ex := rcx.Extract(sga.Route, tb, rc.t)
-		wire := flow.WireFromExtraction(ex, pl, tb)
-		pow, clk, err := flow.RunPower(d, lib, wire, rc.cfg.Activities, sga.Timing, d.TargetClockPs, pl, tb, rc.prof)
-		if err != nil {
-			return nil, err
-		}
-		return encodeArtifact(powerArtifact{Power: pow, Clock: clk})
-
+		v, err = rc.cfg.PowerNode(rc.t, rc.lib, rc.captable(), a["signoff"].(*flow.SignoffArtifact), rc.prof)
 	case "report":
-		_, lib, err := rc.library()
-		if err != nil {
-			return nil, err
-		}
-		// A fresh gate set re-runs the (process-cached) library verification
-		// with the config's enforce semantics, as the monolith's gates stage
-		// does, and supplies the LibCheck report.
-		gs, err := rc.gates()
-		if err != nil {
-			return nil, err
-		}
-		sv, err := rc.artifact("synth")
-		if err != nil {
-			return nil, err
-		}
-		ov, err := rc.artifact("opt")
-		if err != nil {
-			return nil, err
-		}
-		gv, err := rc.artifact("signoff")
-		if err != nil {
-			return nil, err
-		}
-		pv, err := rc.artifact("power")
-		if err != nil {
-			return nil, err
-		}
-		sa, oa, sga, pa := sv.(*synthArtifact), ov.(*optArtifact), gv.(*signoffArtifact), pv.(*powerArtifact)
-		d := sga.Design
-		pl := sga.Snap.Restore(d)
-		// Reports concatenate in the monolith's check order: post-synth,
-		// post-place, post-route. All-nil stays nil so the wire payload's
-		// omitempty matches a gates-off monolith run.
-		var lintR []*lint.Report
-		lintR = append(lintR, sa.Lint...)
-		lintR = append(lintR, oa.Lint...)
-		lintR = append(lintR, sga.Lint...)
-		var equivR []*equiv.Report
-		equivR = append(equivR, sa.Equiv...)
-		equivR = append(equivR, oa.Equiv...)
-		equivR = append(equivR, sga.Equiv...)
-		res := flow.AssembleResult(rc.cfg, lib, flow.ReportInputs{
-			Design: d, Placement: pl, Route: sga.Route, Timing: sga.Timing,
-			ClockPs: d.TargetClockPs, Power: pa.Power, ClockTree: pa.Clock,
-			OptStats: sga.Stats, SynthStats: sa.Stats,
-			LintReports: lintR, EquivReports: equivR,
-			LibCheck: gs.LibCheck(), StageTimes: rc.prof.Times(),
-		})
-		return flow.EncodeResult(res)
+		return flow.EncodeResult(flow.ReportNode(rc.cfg, rc.lib, rc.gs, a["synth"].(*flow.SynthArtifact),
+			a["opt"].(*flow.OptArtifact), a["signoff"].(*flow.SignoffArtifact), a["power"].(*flow.PowerArtifact), rc.prof))
+	default:
+		return nil, fmt.Errorf("stage: no executor for node %q", name)
 	}
-	return nil, fmt.Errorf("stage: no executor for node %q", name)
+	if err != nil {
+		return nil, err
+	}
+	return encodeArtifact(v)
 }

@@ -2,9 +2,13 @@ package stage
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"fmt"
 	"math"
 	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -261,7 +265,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 // Timing vectors legitimately hold non-finite values; the sign-off envelope
 // must round-trip them exactly.
 func TestNonFiniteTimingRoundTrip(t *testing.T) {
-	art := signoffArtifact{
+	art := flow.SignoffArtifact{
 		Timing: &sta.Result{
 			Arrival: []float64{math.Inf(-1), 12.5, math.NaN()},
 			Slew:    []float64{4.25, math.Inf(1)},
@@ -278,7 +282,7 @@ func TestNonFiniteTimingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back := v.(*signoffArtifact)
+	back := v.(*flow.SignoffArtifact)
 	if !math.IsInf(back.Timing.Arrival[0], -1) || !math.IsNaN(back.Timing.Arrival[2]) ||
 		!math.IsInf(back.Timing.Slew[1], 1) || !math.IsInf(back.Timing.WNS, 1) {
 		t.Fatalf("non-finite values mangled: %+v", back.Timing)
@@ -344,5 +348,65 @@ func TestStagePanicReleasesArtifact(t *testing.T) {
 	}
 	if _, err := e.Run(testConfig()); err != nil {
 		t.Fatalf("engine unusable after a panicked stage: %v", err)
+	}
+}
+
+// A store-less engine reproduces the pinned Table 4 payloads of the flow
+// package's golden test (FPU and LDPC pairs, scale 0.05).
+func TestReportGolden(t *testing.T) {
+	raw, err := os.ReadFile("../flow/testdata/payload_digests.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var digests map[string]string
+	if err := json.Unmarshal(raw, &digests); err != nil {
+		t.Fatal(err)
+	}
+	e, err := New("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"FPU", "LDPC"} {
+		for _, mode := range []tech.Mode{tech.Mode2D, tech.ModeTMI} {
+			cfg := flow.Config{Circuit: name, Scale: 0.05, Node: tech.N45, Mode: mode}
+			key := fmt.Sprintf("%s/%v/%v", name, cfg.Node, mode)
+			payload, _, err := e.Report(cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			sum := sha256.Sum256(payload)
+			if got := hex.EncodeToString(sum[:]); got != digests[key] {
+				t.Errorf("%s: payload digest %s, pinned %s", key, got, digests[key])
+			}
+		}
+	}
+}
+
+// A store that breaks after open degrades to recomputation: the run still
+// returns the monolith's payload, and every failed read and write counts as
+// a store_error.
+func TestStoreFaultRecomputes(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	e, err := New(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(dir, []byte("not a store"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg := flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode2D, Scale: 0.05}
+	got, _, err := e.Report(cfg)
+	if err != nil {
+		t.Fatalf("report over a broken store: %v", err)
+	}
+	if want := monoRun(t, cfg).report; !bytes.Equal(got, want) {
+		t.Errorf("payload over a broken store differs from flow.Run (%d vs %d bytes)", len(got), len(want))
+	}
+	c := e.Counters()
+	if c["report"].StoreErrors < 1 {
+		t.Errorf("report counters = %+v, want store errors counted", c["report"])
 	}
 }

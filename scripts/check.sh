@@ -31,6 +31,12 @@ go vet ./...
 stage build
 go build ./...
 
+stage bench-build
+# tmi3dbench is a nested module (its own go.mod, replacing tmi3d with this
+# checkout), so the root build skips it. Vet it here: a change to an exported
+# flow or stage helper its traced suite calls must fail CI, not the benchmark.
+(cd tmi3dbench && go vet ./...)
+
 stage tmi3dvet
 # The repo's own analyzers: map-iteration order, lock ordering (RWMutex-mode
 # aware), seed purity, cache-key coverage, per-stage key soundness
