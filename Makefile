@@ -18,8 +18,8 @@ fmt:
 lint:
 	@go run ./cmd/tmi3d lint -all
 
-# The repo's own static analyzers (ctxdisc, globalmut, godisc, keycoverage,
-# lockorder, maporder, parsafe, seedpurity, stagedeps, wiresafe) over every
+# The repo's own static analyzers (ctxdisc, globalmut, godisc, lockorder,
+# maporder, parsafe, seedpurity, stagedeps, wiresafe) over every
 # package with per-analyzer diagnostic counts (see internal/vet and
 # cmd/tmi3dvet).
 vet-custom:

@@ -1,7 +1,7 @@
 // Command tmi3dvet is the repository's determinism and concurrency
 // multichecker: it loads and type-checks every package in the module and runs
-// the internal/vet analyzer suite (ctxdisc, globalmut, godisc, keycoverage,
-// lockorder, maporder, parsafe, seedpurity, stagedeps, wiresafe). A non-empty
+// the internal/vet analyzer suite (ctxdisc, globalmut, godisc, lockorder,
+// maporder, parsafe, seedpurity, stagedeps, wiresafe). A non-empty
 // report exits 1, which is what scripts/check.sh gates CI on.
 //
 // Usage:
@@ -31,8 +31,6 @@
 // Directive syntax, for sites the analyzers cannot prove safe on their own:
 //
 //	//tmi3dvet:ordered <reason>   on or above a map range (maporder)
-//	//tmi3dvet:nonkey <reason>    on a Config field (keycoverage)
-//	//tmi3dvet:nonseed <reason>   on a Config field excluded from DeriveSeed
 //	//tmi3dvet:global <reason>    on or above a mutable global access (globalmut)
 //	//tmi3dvet:stage <name>       above a pipeline stage's first statement (stagedeps)
 //	//tmi3dvet:parloop <name>     above a hot loop tracked by flow.ParLoops (parsafe)

@@ -116,9 +116,8 @@ func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 	cfg.Scale = s.Scale
 	cfg.Seed = s.Seed
 	cfg.Workers = s.intraWorkers()
-	// Workers is deliberately outside the cache key (flow keeps it
-	// //tmi3dvet:nonkey): any budget produces identical bytes, so runs at
-	// different worker counts share cache entries.
+	// Workers is never a key field (flow.KeyFields): any budget produces
+	// identical bytes, so runs at different worker counts share cache entries.
 	key := cfg.Key()
 
 	s.mu.Lock()

@@ -74,7 +74,8 @@ type Config struct {
 	// placement always run at the base (Table 12) clock, so every point of a
 	// clock sweep shares its generate/synth/place artifacts — the reuse the
 	// staged engine (internal/stage) exploits.
-	//tmi3dvet:nonseed applied after placement; sweep points must share the synth/place RNG stream for per-stage artifact reuse
+	// DeriveSeed leaves it out: it applies after placement, and sweep points
+	// must share the synth/place RNG stream for per-stage artifact reuse.
 	ClockPs float64 `json:"clock_ps,omitempty"`
 	// Util overrides the default placement utilization when non-zero.
 	Util float64 `json:"util,omitempty"`
@@ -93,8 +94,8 @@ type Config struct {
 	// placement, and post-route optimization. The zero value enforces:
 	// any Error-severity diagnostic aborts the flow (the Encounter-style
 	// sanity checks of the paper's flow). GateWarnOnly records reports
-	// without failing; GateOff skips the sweeps entirely.
-	//tmi3dvet:nonseed observation-only gate: must not perturb the RNG stream or the layout
+	// without failing; GateOff skips the sweeps entirely. DeriveSeed leaves
+	// it out: an observation-only gate must not move the layout.
 	Lint lint.GateMode `json:"lint,omitempty"`
 	// Equiv controls the formal sign-off gates (the Conformal/Formality box
 	// of Fig 1): logical equivalence checks after every netlist-transforming
@@ -102,15 +103,14 @@ type Config struct {
 	// post-route vs post-place — plus a once-per-process switch-level check
 	// of the folded cell library. The zero value enforces: any disproved
 	// compare point aborts the flow. GateWarnOnly records reports without
-	// failing; GateOff skips the checks.
-	//tmi3dvet:nonseed observation-only gate: must not perturb the RNG stream or the layout
+	// failing; GateOff skips the checks. DeriveSeed leaves it out, as it
+	// does Lint.
 	Equiv lint.GateMode `json:"equiv,omitempty"`
 	// Workers bounds the intra-flow worker fleet of the parallel stage loops
 	// (the ParLoops manifest: placement, routing, optimization, STA, SPICE
 	// stamping); 0 resolves to GOMAXPROCS at setup. Every loop is
 	// byte-identical at any worker count — that determinism contract is what
-	// keeps Workers out of the wire format and the cache key.
-	//tmi3dvet:nonkey worker count never changes result bytes (ParLoops determinism contract); keying on it would split identical artifacts
+	// keeps Workers out of the wire format and of every key (KeyFields).
 	//tmi3dvet:nonwire execution knob, not a result input: a remote node re-resolves its own worker budget, and the determinism contract makes any budget byte-equivalent
 	Workers int `json:"-"`
 }

@@ -1,96 +1,177 @@
 package flow
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"hash/fnv"
+	"io"
 	"sort"
 	"strconv"
 	"strings"
 	"time"
 
+	"tmi3d/internal/lint"
+	"tmi3d/internal/power"
 	"tmi3d/internal/tech"
 )
 
-// Key returns the canonical cache key of a configuration: two configs share a
-// key exactly when Run would produce identical results. Every result-affecting
-// field participates at full precision — floats are formatted with
-// strconv.FormatFloat(-1), which round-trips, so sweep points that differ by
+// idVersion versions the artifact-ID formula; a change to it, or to any
+// artifact envelope's bytes, must bump it so stale stores miss.
+const idVersion = "tmi3d-stage-v2"
+
+// KeyFields returns a stage's key fields, sorted: its StageKeys entry minus
+// Workers. Worker budgets never change result bytes (the ParLoops
+// determinism contract), so keying on them would split identical artifacts.
+func KeyFields(stage string) []string {
+	out := make([]string, 0, len(StageKeys[stage]))
+	for _, f := range StageKeys[stage] {
+		if f != "Workers" {
+			out = append(out, f)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// reportKeyFields is the report stage's key: every Config field but Workers.
+var reportKeyFields = KeyFields("report")
+
+// ArtifactID content-addresses the artifact of the named stage:
+//
+//	id = sha256(idVersion, name, field=FieldKeyTerm(field) over fields)
+//
+// The staged engine passes each node's sorted key-field closure. c must be
+// normalized (Normalized).
+func (c Config) ArtifactID(name string, fields []string) string {
+	var b strings.Builder
+	b.Grow(256) // the report's fields render to ~150 bytes: one allocation
+	b.WriteString(idVersion)
+	b.WriteByte(0)
+	b.WriteString(name)
+	for _, f := range fields {
+		b.WriteByte(0)
+		b.WriteString(f)
+		b.WriteByte('=')
+		b.WriteString(c.FieldKeyTerm(f))
+	}
+	sum := sha256.Sum256([]byte(b.String()))
+	return hex.EncodeToString(sum[:])
+}
+
+// Key returns the canonical cache key of a configuration: the artifact ID of
+// its report, which the staged engine stores the payload under. Two configs
+// share a key exactly when Run would produce identical results: every field
+// but Workers participates, at full precision, so sweep points that differ by
 // less than a printable unit (e.g. Fig 4 clocks 0.4 ps apart) never collide.
 func (c Config) Key() string {
-	var b strings.Builder
-	c.writePhysicalKey(&b)
-	// Gate modes never change the layout, but they change the Result
-	// (reports attached or not), so cached entries must not alias.
-	b.WriteString("|lint=")
-	b.WriteString(strconv.Itoa(int(c.Lint)))
-	b.WriteString("|equiv=")
-	b.WriteString(strconv.Itoa(int(c.Equiv)))
-	return b.String()
+	return c.Normalized().ArtifactID("report", reportKeyFields)
 }
 
-// writePhysicalKey emits the fields that determine the physical design —
-// the layout-relevant subset of Key.
-func (c Config) writePhysicalKey(b *strings.Builder) {
-	c.writeKeyTerms(b, c.ClockPs)
+// FieldKeyTerm renders one Config field's value canonically (keyTerm) — the
+// form Key, the staged engine's artifact IDs and its per-stage keys are built
+// from. It panics on a name that is not a key field.
+func (c Config) FieldKeyTerm(field string) string {
+	var v any
+	switch field {
+	case "Circuit":
+		v = c.Circuit
+	case "Scale":
+		v = c.Scale
+	case "Node":
+		v = c.Node
+	case "Mode":
+		v = c.Mode
+	case "ClockPs":
+		v = c.ClockPs
+	case "Util":
+		v = c.Util
+	case "PinCapScale":
+		v = c.PinCapScale
+	case "ResistivityScale":
+		v = c.ResistivityScale
+	case "Use2DWLM":
+		v = c.Use2DWLM
+	case "Activities":
+		v = c.Activities
+	case "Seed":
+		v = c.Seed
+	case "Lint":
+		v = c.Lint
+	case "Equiv":
+		v = c.Equiv
+	default:
+		panic("flow: FieldKeyTerm: unknown Config field " + field)
+	}
+	return keyTerm(v)
 }
 
-// writeKeyTerms renders the physical key with an explicit clock term. Key
-// passes the real ClockPs; DeriveSeed pins it to 0: synthesis and placement
-// run at the base (Table 12) clock regardless of a sweep override — the
-// override is applied at the pre-route opt stage — so the RNG stream, and
-// with it the placement, is shared across sweep points. Without that, the
-// per-stage cache (internal/stage) could never reuse a synthesized or placed
-// artifact across a clock sweep.
-func (c Config) writeKeyTerms(b *strings.Builder, clockPs float64) {
+// keyTerm renders a config value canonically: floats in strconv's shortest
+// round-trip form, enums as their integer, maps sorted by key.
+func keyTerm(v any) string {
 	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	b.WriteString(c.Circuit)
-	b.WriteString("|scale=")
-	b.WriteString(f(c.Scale))
-	b.WriteString("|node=")
-	b.WriteString(strconv.Itoa(int(c.Node)))
-	b.WriteString("|mode=")
-	b.WriteString(strconv.Itoa(int(c.Mode)))
-	b.WriteString("|clock=")
-	b.WriteString(f(clockPs))
-	b.WriteString("|util=")
-	b.WriteString(f(c.Util))
-	b.WriteString("|pincap=")
-	b.WriteString(f(c.PinCapScale))
-	b.WriteString("|res=")
-	// Map iteration order is random; sort by layer class for a stable key.
-	classes := make([]int, 0, len(c.ResistivityScale))
-	for cl := range c.ResistivityScale {
-		classes = append(classes, int(cl))
+	switch v := v.(type) {
+	case string:
+		return v
+	case float64:
+		return f(v)
+	case bool:
+		return strconv.FormatBool(v)
+	case uint64:
+		return strconv.FormatUint(v, 10)
+	case tech.Node:
+		return strconv.Itoa(int(v))
+	case tech.Mode:
+		return strconv.Itoa(int(v))
+	case lint.GateMode:
+		return strconv.Itoa(int(v))
+	case power.Activities:
+		return f(v.PrimaryInput) + "/" + f(v.SeqOutput)
+	case map[tech.LayerClass]float64:
+		classes := make([]int, 0, len(v))
+		for cl := range v {
+			classes = append(classes, int(cl))
+		}
+		sort.Ints(classes)
+		var b strings.Builder
+		for _, cl := range classes {
+			b.WriteString(strconv.Itoa(cl))
+			b.WriteByte(':')
+			b.WriteString(f(v[tech.LayerClass(cl)]))
+			b.WriteByte(',')
+		}
+		return b.String()
 	}
-	sort.Ints(classes)
-	for _, cl := range classes {
-		b.WriteString(strconv.Itoa(cl))
-		b.WriteByte(':')
-		b.WriteString(f(c.ResistivityScale[tech.LayerClass(cl)]))
-		b.WriteByte(',')
-	}
-	b.WriteString("|wlm2d=")
-	b.WriteString(strconv.FormatBool(c.Use2DWLM))
-	b.WriteString("|act=")
-	b.WriteString(f(c.Activities.PrimaryInput))
-	b.WriteByte('/')
-	b.WriteString(f(c.Activities.SeqOutput))
-	b.WriteString("|seed=")
-	b.WriteString(strconv.FormatUint(c.Seed, 10))
+	panic(fmt.Sprintf("flow: keyTerm: no canonical form for %T", v))
 }
 
 // DeriveSeed mixes the study seed with the physical configuration so every
 // distinct flow gets its own RNG stream. The derivation is a pure function of
 // the config, which is what makes parallel execution bit-identical to serial:
 // no stage consumes randomness whose value depends on scheduling order.
-// Gate modes (Lint, Equiv) are excluded — observation must not move the
-// layout. ClockPs is excluded too (the clock term is pinned to 0): the
-// override only steers the post-placement stages, so sweep points must draw
-// from the same stream to share their synth/place artifacts.
+//
+// It hashes the setup stage's key fields (StageKeys["setup"] minus Workers),
+// each behind a fixed label and rendered by keyTerm. The gate modes (Lint,
+// Equiv) are left out — observation must not move the layout — and so is
+// ClockPs, whose term is pinned to 0: the override only steers the
+// post-placement stages, so sweep points must draw from the same stream to
+// share their synth/place artifacts. The terms are values, not field names
+// rendered by FieldKeyTerm, so stagedeps sees setup read exactly these fields.
 func (c Config) DeriveSeed() uint64 {
-	var b strings.Builder
-	c.writeKeyTerms(&b, 0)
+	terms := [...]struct {
+		label string
+		value any
+	}{
+		{"", c.Circuit}, {"|scale=", c.Scale}, {"|node=", c.Node}, {"|mode=", c.Mode},
+		{"|clock=", 0.0}, {"|util=", c.Util}, {"|pincap=", c.PinCapScale},
+		{"|res=", c.ResistivityScale}, {"|wlm2d=", c.Use2DWLM}, {"|act=", c.Activities},
+		{"|seed=", c.Seed},
+	}
 	h := fnv.New64a()
-	h.Write([]byte(b.String()))
+	for _, t := range terms {
+		io.WriteString(h, t.label)
+		io.WriteString(h, keyTerm(t.value))
+	}
 	return h.Sum64()
 }
 

@@ -8,6 +8,8 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -100,6 +102,84 @@ func TestDeriveSeed(t *testing.T) {
 	g.Lint, g.Equiv = 1, 2
 	if a.DeriveSeed() != g.DeriveSeed() {
 		t.Error("gate modes changed the derived seed — observation moved the layout")
+	}
+}
+
+// DeriveSeed's bytes are part of every placement: a drift moves every result
+// and orphans every stored artifact. These values predate its move onto
+// keyTerm.
+func TestDeriveSeedPinned(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want uint64
+	}{
+		{Config{Circuit: "AES", Scale: 0.5, Node: tech.N45, Mode: tech.ModeTMI, ClockPs: 850, Util: 0.6, PinCapScale: 0.9,
+			ResistivityScale: map[tech.LayerClass]float64{tech.ClassLocal: 1.5}}, 6794592382158127765},
+		{Config{Circuit: "FPU", Scale: 0.15, Node: tech.N7, Mode: tech.Mode2D, Seed: 3, Use2DWLM: true,
+			Activities:       power.Activities{PrimaryInput: 0.2, SeqOutput: 0.1},
+			ResistivityScale: map[tech.LayerClass]float64{tech.ClassGlobal: 2, tech.ClassM1: 0.5},
+			Lint:             2, Equiv: 1, ClockPs: 1234.5, Workers: 3}, 14984742705111678719},
+		{Config{Circuit: "LDPC"}, 12817973580346655777},
+	} {
+		if got := tc.cfg.DeriveSeed(); got != tc.want {
+			t.Errorf("%s: DeriveSeed = %d, pinned %d", tc.cfg.Circuit, got, tc.want)
+		}
+	}
+}
+
+// Every Config field is either mixed into DeriveSeed or listed here with the
+// reason it must not be; and the mixed fields are exactly the setup stage's
+// key, the stage that derives the seed.
+func TestDeriveSeedFields(t *testing.T) {
+	unseeded := map[string]string{
+		"ClockPs": "applied after placement: sweep points share the synth/place RNG stream",
+		"Lint":    "observation-only gate: must not move the layout",
+		"Equiv":   "observation-only gate: must not move the layout",
+		"Workers": "never changes result bytes (ParLoops determinism contract)",
+	}
+	base := Config{Circuit: "AES", Scale: 0.5, Node: tech.N45, Mode: tech.ModeTMI, Util: 0.6}
+	var seeded []string
+	typ := reflect.TypeOf(base)
+	for i := 0; i < typ.NumField(); i++ {
+		name := typ.Field(i).Name
+		moved := base
+		perturbField(t, reflect.ValueOf(&moved).Elem().Field(i))
+		mixed := moved.DeriveSeed() != base.DeriveSeed()
+		if _, excluded := unseeded[name]; mixed == excluded {
+			t.Errorf("Config.%s: mixed into DeriveSeed = %v, listed as unseeded = %v", name, mixed, excluded)
+		}
+		if mixed {
+			seeded = append(seeded, name)
+		}
+	}
+	slices.Sort(seeded)
+	if setup := KeyFields("setup"); !slices.Equal(seeded, setup) {
+		t.Errorf("DeriveSeed mixes %v, the setup stage key is %v", seeded, setup)
+	}
+}
+
+// perturbField changes a Config field's value to a different one of its type.
+func perturbField(t *testing.T, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.String:
+		v.SetString(v.String() + "x")
+	case reflect.Float64:
+		v.SetFloat(v.Float() + 0.5)
+	case reflect.Int:
+		v.SetInt(v.Int() + 1)
+	case reflect.Uint64:
+		v.SetUint(v.Uint() + 1)
+	case reflect.Bool:
+		v.SetBool(!v.Bool())
+	case reflect.Map:
+		m := reflect.MakeMap(v.Type())
+		m.SetMapIndex(reflect.New(v.Type().Key()).Elem(), reflect.ValueOf(2.0))
+		v.Set(m)
+	case reflect.Struct:
+		perturbField(t, v.Field(0))
+	default:
+		t.Fatalf("perturbField: no rule for %s", v.Type())
 	}
 }
 

@@ -2,9 +2,6 @@ package flow
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 	"time"
 
 	"tmi3d/internal/captable"
@@ -362,55 +359,4 @@ func AssembleResult(cfg Config, lib *liberty.Library, in ReportInputs) *Result {
 		res.WLSamples[f] = append(res.WLSamples[f], rt.Routes[ni].Len)
 	}
 	return res
-}
-
-// FieldKeyTerm renders one Config field's value in the same canonical form
-// the cache key uses (strconv round-trip floats, sorted map entries), the
-// basis of the staged engine's per-stage keys. It panics on a field name that
-// is not a Config field — the DAG consistency test keeps the engine's key
-// sets inside this domain.
-func (c Config) FieldKeyTerm(field string) string {
-	f := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	switch field {
-	case "Circuit":
-		return c.Circuit
-	case "Scale":
-		return f(c.Scale)
-	case "Node":
-		return strconv.Itoa(int(c.Node))
-	case "Mode":
-		return strconv.Itoa(int(c.Mode))
-	case "ClockPs":
-		return f(c.ClockPs)
-	case "Util":
-		return f(c.Util)
-	case "PinCapScale":
-		return f(c.PinCapScale)
-	case "ResistivityScale":
-		classes := make([]int, 0, len(c.ResistivityScale))
-		for cl := range c.ResistivityScale {
-			classes = append(classes, int(cl))
-		}
-		sort.Ints(classes)
-		var b strings.Builder
-		for _, cl := range classes {
-			b.WriteString(strconv.Itoa(cl))
-			b.WriteByte(':')
-			b.WriteString(f(c.ResistivityScale[tech.LayerClass(cl)]))
-			b.WriteByte(',')
-		}
-		return b.String()
-	case "Use2DWLM":
-		return strconv.FormatBool(c.Use2DWLM)
-	case "Activities":
-		return f(c.Activities.PrimaryInput) + "/" + f(c.Activities.SeqOutput)
-	case "Seed":
-		return strconv.FormatUint(c.Seed, 10)
-	case "Lint":
-		return strconv.Itoa(int(c.Lint))
-	case "Equiv":
-		return strconv.Itoa(int(c.Equiv))
-	default:
-		panic("flow: FieldKeyTerm: unknown Config field " + field)
-	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"net/url"
 	"strconv"
 	"strings"
@@ -40,6 +41,9 @@ func ParseConfig(q url.Values) (flow.Config, error) {
 		if err != nil {
 			return fmt.Errorf("param %s: %w", name, err)
 		}
+		if f == 0 {
+			f = 0 // -0 would key apart from the default it means
+		}
 		*dst = f
 		return nil
 	}
@@ -62,9 +66,6 @@ func ParseConfig(q url.Values) (flow.Config, error) {
 
 	if err := getf("scale", &cfg.Scale); err != nil {
 		return cfg, err
-	}
-	if cfg.Scale <= 0 {
-		return cfg, fmt.Errorf("param scale must be > 0")
 	}
 
 	seen["node"] = true
@@ -145,7 +146,41 @@ func ParseConfig(q url.Values) (flow.Config, error) {
 			return cfg, fmt.Errorf("unknown parameter %q", k)
 		}
 	}
-	return cfg, nil
+	return cfg, checkRanges(cfg)
+}
+
+// checkRanges rejects numbers the flow cannot honor, for GET and POST alike:
+// a NaN would run the whole flow and then fail to encode, a negative clock
+// would fail at power analysis, and an out-of-range utilization would be
+// silently clamped to the default. Zero selects the default wherever the
+// flow has one.
+func checkRanges(cfg flow.Config) error {
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"scale", cfg.Scale}, {"clock", cfg.ClockPs}, {"util", cfg.Util}, {"pincap", cfg.PinCapScale},
+		{"act_pi", cfg.Activities.PrimaryInput}, {"act_seq", cfg.Activities.SeqOutput},
+	} {
+		switch {
+		case math.IsNaN(p.v) || math.IsInf(p.v, 0):
+			return fmt.Errorf("param %s must be finite", p.name)
+		case p.v < 0:
+			return fmt.Errorf("param %s must be >= 0 (0 = default)", p.name)
+		}
+	}
+	if cfg.Scale == 0 {
+		return fmt.Errorf("param scale must be > 0")
+	}
+	if cfg.Util > 1 {
+		return fmt.Errorf("param util must be in (0, 1] (0 = default)")
+	}
+	for _, class := range []tech.LayerClass{tech.ClassM1, tech.ClassLocal, tech.ClassIntermediate, tech.ClassGlobal} {
+		if v, ok := cfg.ResistivityScale[class]; ok && !(v > 0 && !math.IsInf(v, 0)) {
+			return fmt.Errorf("resistivity_scale for layer class %d must be finite and > 0", int(class))
+		}
+	}
+	return nil
 }
 
 // ConfigQuery renders a configuration as the query parameters ParseConfig

@@ -333,11 +333,12 @@ func (s *Server) submit(key string, fn func() ([]byte, error)) (*job, bool, erro
 // tier (source lru), else a job, which reads the report from the store or
 // executes the stages it lacks.
 func (s *Server) ppa(ctx context.Context, cfg flow.Config, stageHits *string) ([]byte, string, error) {
-	if data, ok := s.engine.Cached(cfg); ok {
+	key := cfg.Key()
+	if data, ok := s.engine.Cached(key); ok {
 		s.metrics.Add("tmi3d_cache_hits_total", `tier="lru"`, 1)
 		return data, "lru", nil
 	}
-	return s.compute(ctx, "v1|ppa|"+cfg.Key(), s.ppaJob(cfg, stageHits))
+	return s.compute(ctx, "v1|ppa|"+key, s.ppaJob(cfg, stageHits))
 }
 
 // compute runs fn as the job for key after a cache miss. source reports run
@@ -466,7 +467,7 @@ func (s *Server) requestConfig(r *http.Request) (flow.Config, error) {
 			cfg.Scale = 1.0
 		}
 		// Re-parse through the query surface so POST obeys the same
-		// validation as GET (known circuit, positive scale).
+		// circuit validation as GET.
 		if _, err := ParseConfig(ConfigQuery(flow.Config{Circuit: cfg.Circuit, Scale: cfg.Scale})); err != nil {
 			return cfg, err
 		}
@@ -501,7 +502,7 @@ func (s *Server) requestConfig(r *http.Request) (flow.Config, error) {
 				return cfg, fmt.Errorf("body: unknown resistivity_scale layer class %d", int(class))
 			}
 		}
-		return cfg, nil
+		return cfg, checkRanges(cfg)
 	}
 	return ParseConfig(r.URL.Query())
 }

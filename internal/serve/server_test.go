@@ -411,13 +411,28 @@ func TestBadRequests(t *testing.T) {
 		path string
 		code int
 	}{
-		{"/v1/ppa", 400},                        // missing circuit
-		{"/v1/ppa?circuit=NOPE", 400},           // unknown circuit
-		{"/v1/ppa?circuit=FPU&clocks=5", 400},   // typoed param
-		{"/v1/ppa?circuit=FPU&scale=0.9", 400},  // above MaxScale
-		{"/v1/ppa?circuit=FPU&mode=4d", 400},    // bad mode
+		{"/v1/ppa", 400},                       // missing circuit
+		{"/v1/ppa?circuit=NOPE", 400},          // unknown circuit
+		{"/v1/ppa?circuit=FPU&clocks=5", 400},  // typoed param
+		{"/v1/ppa?circuit=FPU&scale=0.9", 400}, // above MaxScale
+		{"/v1/ppa?circuit=FPU&mode=4d", 400},   // bad mode
+		// Non-finite or out-of-range numbers (at a scale under MaxScale): a
+		// NaN would run the flow and fail at encode, a negative clock at power
+		// analysis; util 5 would be clamped to the default while the response
+		// echoed 5.
+		{"/v1/ppa?circuit=FPU&scale=NaN", 400},
+		{"/v1/ppa?circuit=FPU&scale=0.1&util=NaN", 400},
+		{"/v1/ppa?circuit=FPU&scale=0.1&clock=NaN", 400},
+		{"/v1/ppa?circuit=FPU&scale=0.1&act_pi=NaN", 400},
+		{"/v1/ppa?circuit=FPU&scale=0.1&act_seq=nan", 400},
+		{"/v1/ppa?circuit=FPU&scale=0.1&clock=-100", 400},
+		{"/v1/ppa?circuit=FPU&scale=0.1&pincap=-1", 400},
+		{"/v1/ppa?circuit=FPU&scale=0.1&act_seq=-0.1", 400},
+		{"/v1/ppa?circuit=FPU&scale=0.1&util=-0.5", 400},
+		{"/v1/ppa?circuit=FPU&scale=0.1&util=5", 400},
 		{"/v1/experiment/table99", 404},         // unknown experiment
 		{"/v1/experiment/table1?scale=-1", 400}, // bad scale
+		{"/v1/experiment/table1?scale=NaN", 400},
 		{"/v1/experiment/table1?sead=7", 400},   // typoed experiment param
 		{"/v1/experiment/table1?mode=tmi", 400}, // param not on this endpoint
 		{"/nope", 404},                          // unknown route
@@ -430,8 +445,9 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestPostRejectsBadEnums: the POST body decodes enum fields as bare ints;
-// out-of-range values must be a 400 at the boundary, never reach the flow
-// (which panics on unknown nodes), and never crash the daemon.
+// out-of-range values — and numbers outside the range GET enforces — must be
+// a 400 at the boundary, never reach the flow (which panics on unknown nodes),
+// and never crash the daemon.
 func TestPostRejectsBadEnums(t *testing.T) {
 	var runs atomic.Int64
 	_, ts := newTestServer(t, Config{Workers: 1},
@@ -448,6 +464,12 @@ func TestPostRejectsBadEnums(t *testing.T) {
 		`{"circuit":"AES","lint":3}`,
 		`{"circuit":"AES","equiv":-1}`,
 		`{"circuit":"AES","resistivity_scale":{"12":2.0}}`,
+		`{"circuit":"AES","clock_ps":-100}`,
+		`{"circuit":"AES","util":5}`,
+		`{"circuit":"AES","pin_cap_scale":-1}`,
+		`{"circuit":"AES","activities":{"primary_input":-0.2}}`,
+		`{"circuit":"AES","resistivity_scale":{"0":0}}`,
+		`{"circuit":"AES","resistivity_scale":{"3":-2}}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/ppa", "application/json", strings.NewReader(body))
 		if err != nil {

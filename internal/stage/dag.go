@@ -7,21 +7,22 @@
 //
 // # Content addressing
 //
-// Every node has a stage key — the exact flow.StageKeys Config fields of the
-// corresponding //tmi3dvet:stage region, rendered canonically — and a key-field
-// closure: the sorted union of its own key fields and those of every node
-// upstream of it (Workers excluded). Its artifact ID hashes the closure:
+// Every node has a stage key — flow.KeyFields, the flow.StageKeys Config
+// fields of the corresponding //tmi3dvet:stage region minus Workers — and a
+// key-field closure: the sorted union of its own key fields and those of every
+// node upstream of it. Its artifact ID is flow.Config.ArtifactID over the
+// closure:
 //
 //	id = sha256(version, name, field=term over the key-field closure)
 //
 // Two configs share a stage's artifact exactly when they agree on every field
 // of its closure — the same sharing a chain of upstream IDs would give, at the
 // cost of one hash per lookup. The report node's closure is the whole config,
-// so the serving layer's cache probe hashes one string. Soundness rests on the
-// stagedeps analyzer: it proves each region reads no Config field outside its
-// manifest entry, and the DAG consistency test (dag_test.go) proves every
-// cross-stage artifact edge the analyzer computes is carried by the Deps
-// declared here.
+// so its ID is flow.Config.Key, which the serving layer probes with.
+// Soundness rests on the stagedeps analyzer: it proves each region reads no
+// Config field outside its manifest entry, and the DAG consistency test
+// (dag_test.go) proves every cross-stage artifact edge the analyzer computes
+// is carried by the Deps declared here.
 //
 // # Byte identity
 //
@@ -35,8 +36,6 @@
 package stage
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"sort"
 	"strings"
 
@@ -84,33 +83,16 @@ var nodeByName = func() map[string]*Node {
 	return m
 }()
 
-// keyFields returns the stage's key fields: its flow.StageKeys entry minus
-// Workers (worker budgets never change result bytes — the ParLoops
-// determinism contract — so they must not split artifacts).
-func keyFields(name string) []string {
-	fields := flow.StageKeys[name]
-	out := make([]string, 0, len(fields))
-	for _, f := range fields {
-		if f != "Workers" {
-			out = append(out, f)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
 // KeyString renders a node's own stage key for a config in the canonical
 // field=value form — what the `tmi3d stages` subcommand shows per node.
 func KeyString(cfg flow.Config, name string) string {
-	fields := keyFields(name)
+	fields := flow.KeyFields(name)
 	terms := make([]string, len(fields))
 	for i, f := range fields {
 		terms[i] = f + "=" + cfg.FieldKeyTerm(f)
 	}
 	return strings.Join(terms, "|")
 }
-
-const idVersion = "tmi3d-stage-v2"
 
 // closures maps every node to its key-field closure (see the package doc),
 // computed once from Nodes, Deps and StageKeys.
@@ -119,7 +101,7 @@ var closures = func() map[string][]string {
 	for i := range Nodes {
 		n := &Nodes[i]
 		set := map[string]bool{}
-		for _, f := range keyFields(n.Name) {
+		for _, f := range flow.KeyFields(n.Name) {
 			set[f] = true
 		}
 		for _, dep := range n.Deps {
@@ -137,29 +119,12 @@ var closures = func() map[string][]string {
 	return out
 }()
 
-// artifactID is a node's artifact ID for a config. cfg must be normalized
-// (cfg.Normalized()).
-func artifactID(cfg flow.Config, name string) string {
-	var b strings.Builder
-	b.Grow(256) // the report's closure renders to ~150 bytes: one allocation
-	b.WriteString(idVersion)
-	b.WriteByte(0)
-	b.WriteString(name)
-	for _, f := range closures[name] {
-		b.WriteByte(0)
-		b.WriteString(f)
-		b.WriteByte('=')
-		b.WriteString(cfg.FieldKeyTerm(f))
-	}
-	sum := sha256.Sum256([]byte(b.String()))
-	return hex.EncodeToString(sum[:])
-}
-
 // ids computes every node's artifact ID for a config. cfg must be normalized.
 func ids(cfg flow.Config) map[string]string {
 	out := make(map[string]string, len(Nodes))
 	for i := range Nodes {
-		out[Nodes[i].Name] = artifactID(cfg, Nodes[i].Name)
+		name := Nodes[i].Name
+		out[name] = cfg.ArtifactID(name, closures[name])
 	}
 	return out
 }

@@ -219,11 +219,10 @@ func (rc *runCtx) report() ([]byte, RunStats, error) {
 	return v.([]byte), rc.stats, nil
 }
 
-// Cached looks up the report artifact for cfg in the memory tier only: no
-// store read, no execution — one ID hash and a map probe. A miss is Report's
-// to serve, from the store or by executing.
-func (e *Engine) Cached(cfg flow.Config) ([]byte, bool) {
-	id := artifactID(cfg.Normalized(), "report")
+// Cached looks up a report artifact by its ID — a config's Key — in the
+// memory tier only: no store read, no execution, one map probe. A miss is
+// Report's to serve, from the store or by executing.
+func (e *Engine) Cached(id string) ([]byte, bool) {
 	e.mu.Lock()
 	v, ok := e.memGet(id)
 	e.mu.Unlock()

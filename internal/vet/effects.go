@@ -280,3 +280,37 @@ func isParamOrRecv(fn *types.Func, v *types.Var) bool {
 	_, ok := paramIndex(fn, v)
 	return ok
 }
+
+// funcBodies maps every function and method declared in the package to its
+// body.
+func funcBodies(p *Pass) map[*types.Func]*ast.BlockStmt {
+	bodies := map[*types.Func]*ast.BlockStmt{}
+	for _, f := range p.Pkg.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				if fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
+					bodies[fn] = fd.Body
+				}
+			}
+		}
+	}
+	return bodies
+}
+
+// staticCalleeOf resolves a call to the function or method it statically
+// names, or nil for calls through function values.
+func staticCalleeOf(p *Pass, call *ast.CallExpr) *types.Func {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		f, _ := p.ObjectOf(fun).(*types.Func)
+		return f
+	case *ast.SelectorExpr:
+		if sel := p.Pkg.Info.Selections[fun]; sel != nil {
+			f, _ := sel.Obj().(*types.Func)
+			return f
+		}
+		f, _ := p.ObjectOf(fun.Sel).(*types.Func)
+		return f
+	}
+	return nil
+}

@@ -9,11 +9,11 @@ import (
 	"strings"
 )
 
-// StageDeps proves the per-stage cache keys of the future incremental flow
-// cache sound before that cache exists (ROADMAP item 1). A content-addressed
-// stage cache is correct only if each stage's key covers everything the stage
-// actually reads; keycoverage proves that for the whole-flow Config.Key, and
-// stagedeps proves it stage by stage.
+// StageDeps proves the per-stage cache keys of the staged engine
+// (internal/stage) sound. A content-addressed stage cache is correct only if
+// each stage's key covers everything the stage actually reads; stagedeps
+// proves that stage by stage. The whole-flow Config.Key is the report stage's
+// artifact ID, so the same proof covers it.
 //
 // Stage boundaries are declared in the pipeline function itself with anchor
 // directives on (or above) the first statement of each stage region:

@@ -39,8 +39,6 @@ type suppressions struct {
 // never double-reports across analyzers.
 var directiveOwner = map[string]string{
 	"ordered":   "maporder",
-	"nonkey":    "keycoverage",
-	"nonseed":   "keycoverage",
 	"global":    "globalmut",
 	"parhazard": "parsafe",
 	"godisc":    "godisc",
@@ -137,7 +135,7 @@ func (s *suppressions) reportStale(p *Pass, what string) {
 }
 
 // fieldSuppression finds a //tmi3dvet:<directive> comment in a struct
-// field's doc or trailing comment group. Used by keycoverage, where the
+// field's doc or trailing comment group. Used by wiresafe, where the
 // annotation attaches to a field declaration rather than a statement.
 func fieldSuppression(p *Pass, directive string, field *ast.Field) (reason string, pos token.Pos, ok bool) {
 	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {

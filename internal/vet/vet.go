@@ -15,13 +15,13 @@
 //     serve job-table / metrics-registry AB-BA inversion of PR 4).
 //   - seedpurity: wall-clock or global-RNG inputs inside flow-deterministic
 //     packages, which must derive randomness from flow.Config.DeriveSeed.
-//   - keycoverage: flow.Config fields missing from Config.Key (the ClockPs
-//     precision collision that poisoned the flow cache in PR 3), and drift
-//     between Key and the DeriveSeed physical-key subset.
 //   - stagedeps: per-stage Config read sets in the anchored flow.Run pipeline
 //     diffed against the declarative StageKeys manifest — the soundness proof
-//     for the incremental per-stage flow cache (ROADMAP item 1): a stage that
-//     reads a Config field its key omits would serve stale cached artifacts.
+//     for the per-stage artifact cache: a stage that reads a Config field its
+//     key omits would serve stale cached artifacts. Config.Key is the report
+//     stage's artifact ID, and the report region reads the whole Config, so
+//     this also proves the whole-flow key complete (the ClockPs precision
+//     collision that once poisoned the flow cache).
 //   - globalmut: reads or writes of mutable package-level state outside the
 //     key-addressed sync.Once cache shape (liberty.Default, flow.generated) —
 //     the class where a cache entry mutated after publication silently
@@ -68,7 +68,7 @@ type Analyzer struct {
 }
 
 // All is the full analyzer suite in reporting order.
-var All = []*Analyzer{MapOrder, LockOrder, SeedPurity, KeyCoverage, StageDeps, GlobalMut, ParSafe, GoDisc, WireSafe, CtxDisc}
+var All = []*Analyzer{MapOrder, LockOrder, SeedPurity, StageDeps, GlobalMut, ParSafe, GoDisc, WireSafe, CtxDisc}
 
 // deterministicPkgs lists the module-relative package paths whose output
 // feeds the byte-identity contract: any map-iteration order or impure seed

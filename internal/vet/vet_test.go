@@ -108,31 +108,6 @@ func TestSeedPurityFixture(t *testing.T) {
 	}
 }
 
-func TestKeyCoverageFixture(t *testing.T) {
-	diags := runFixture(t, "keycoverage", "fixture/keycoverage", KeyCoverage)
-	for _, want := range []string{
-		"not covered by Config.Key",
-		"without a reason",
-		"stale //tmi3dvet:nonkey",
-		// DeriveSeed drift classes.
-		"in Key but not in DeriveSeed",
-		"DeriveSeed mixes Extra but Key omits it",
-		"stale //tmi3dvet:nonseed",
-		"//tmi3dvet:nonseed suppression without a reason",
-	} {
-		if !hasDiag(diags, want) {
-			t.Errorf("keycoverage fixture lost the %q diagnostic class", want)
-		}
-	}
-	// Gate is the clean exclusion (keyed, not seeded, reason given): any
-	// diagnostic naming it means the annotation path broke.
-	for _, d := range diags {
-		if strings.Contains(d.Message, "Config.Gate") {
-			t.Errorf("reasoned nonseed exclusion was still reported: %s", d)
-		}
-	}
-}
-
 func TestStageDepsFixture(t *testing.T) {
 	diags := runFixture(t, "stagedeps", "fixture/internal/flow", StageDeps)
 	for _, want := range []string{
@@ -607,16 +582,15 @@ func TestCtxScoped(t *testing.T) {
 // happens if two analyzers both believe they audit the same directive.
 func TestNoDoubleSuppressionReports(t *testing.T) {
 	fixtures := map[string]string{
-		"maporder":    "fixture/internal/place",
-		"lockorder":   "fixture/lockorder",
-		"seedpurity":  "fixture/internal/route",
-		"keycoverage": "fixture/keycoverage",
-		"stagedeps":   "fixture/internal/flow",
-		"globalmut":   "fixture/internal/liberty",
-		"parsafe":     "fixture/parsafe",
-		"godisc":      "fixture/godisc",
-		"wiresafe":    "fixture/wiresafe",
-		"ctxdisc":     "fixture/internal/serve",
+		"maporder":   "fixture/internal/place",
+		"lockorder":  "fixture/lockorder",
+		"seedpurity": "fixture/internal/route",
+		"stagedeps":  "fixture/internal/flow",
+		"globalmut":  "fixture/internal/liberty",
+		"parsafe":    "fixture/parsafe",
+		"godisc":     "fixture/godisc",
+		"wiresafe":   "fixture/wiresafe",
+		"ctxdisc":    "fixture/internal/serve",
 	}
 	dirs := make([]string, 0, len(fixtures))
 	for dir := range fixtures {

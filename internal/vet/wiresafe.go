@@ -12,10 +12,9 @@ import (
 )
 
 // WireSafe proves wire-format totality for every type whose encoded bytes
-// cross a process boundary — keycoverage generalized from one cache key to
-// every codec. The flow.WireTypes manifest names the wire set; for each entry
-// the analyzer diffs the struct's fields against what its codec actually
-// carries and reports:
+// cross a process boundary. The flow.WireTypes manifest names the wire set;
+// for each entry the analyzer diffs the struct's fields against what its
+// codec actually carries and reports:
 //
 //   - a field the marshal half writes but the unmarshal half never restores
 //     (the silent-drop class: a remote decode looks healthy and is missing
@@ -39,8 +38,7 @@ import (
 // on degenerate inputs.
 //
 // Soundness posture: field coverage is computed over the transitive
-// same-package static call graph of each codec half (the keycoverage
-// machinery), with writes collected from assignment targets, &-escapes,
+// same-package static call graph of each codec half, with writes collected from assignment targets, &-escapes,
 // keyed composite literals, and receiver-field writes in callees. Dynamic
 // dispatch through interfaces and cross-package helpers are not followed;
 // package-level Encode*/Decode* helpers that delegate the whole value to
@@ -308,7 +306,7 @@ func findStructDecl(pkg *Package, name string) (*ast.TypeSpec, *ast.StructType) 
 // checkCodecType diffs the struct's fields against the read set of the
 // marshal half and the write set of the unmarshal half.
 func checkCodecType(p *Pass, named *types.Named, st *ast.StructType, mar, unm *types.Func, fact *WireFact) {
-	mset := fieldsReferencedByKey(p, named, mar)
+	mset := fieldsReadBy(p, named, mar)
 	uset := fieldsWrittenBy(p, named, unm)
 	tname := named.Obj().Name()
 	for _, field := range st.Fields.List {
@@ -380,6 +378,49 @@ func jsonTagName(field *ast.Field) string {
 	}
 	name, _, _ := strings.Cut(reflect.StructTag(raw).Get("json"), ",")
 	return name
+}
+
+// fieldsReadBy collects the fields of named that fn (transitively, through
+// same-package static callees) selects anywhere along the way.
+func fieldsReadBy(p *Pass, named *types.Named, root *types.Func) map[types.Object]bool {
+	covered := map[types.Object]bool{}
+	fieldOwner := map[types.Object]bool{}
+	if s, ok := named.Underlying().(*types.Struct); ok {
+		for i := 0; i < s.NumFields(); i++ {
+			fieldOwner[s.Field(i)] = true
+		}
+	}
+	bodies := funcBodies(p)
+	seen := map[*types.Func]bool{}
+	work := []*types.Func{root}
+	for len(work) > 0 {
+		fn := work[len(work)-1]
+		work = work[:len(work)-1]
+		if seen[fn] {
+			continue
+		}
+		seen[fn] = true
+		body := bodies[fn]
+		if body == nil {
+			continue
+		}
+		ast.Inspect(body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.SelectorExpr:
+				if sel := p.Pkg.Info.Selections[n]; sel != nil {
+					if f, ok := sel.Obj().(*types.Var); ok && fieldOwner[f] {
+						covered[f] = true
+					}
+				}
+			case *ast.CallExpr:
+				if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
+					work = append(work, callee)
+				}
+			}
+			return true
+		})
+	}
+	return covered
 }
 
 // fieldsWrittenBy collects the fields of named that fn (transitively, through
@@ -694,4 +735,13 @@ func checkUnlistedCodecs(p *Pass, man *wireManifest) {
 		}
 		p.Reportf(tn.Pos(), "type %s has a JSON codec (%s) but the WireTypes manifest does not name it: its wire totality is unproven — add %q to flow.WireTypes", name, h.Name(), relPath+"."+name)
 	}
+}
+
+func methodNamed(named *types.Named, name string) *types.Func {
+	for i := 0; i < named.NumMethods(); i++ {
+		if m := named.Method(i); m.Name() == name {
+			return m
+		}
+	}
+	return nil
 }

@@ -33,17 +33,20 @@ go build ./...
 
 stage bench-build
 # tmi3dbench is a nested module (its own go.mod, replacing tmi3d with this
-# checkout), so the root build skips it. Vet it here: a change to an exported
-# flow or stage helper its traced suite calls must fail CI, not the benchmark.
-(cd tmi3dbench && go vet ./...)
+# checkout), so the root build skips it. Vet and test it here: a change to an
+# exported flow or stage helper its traced suite calls, a seed or key drift
+# that moves its payload digests, or a serve change that breaks a workload
+# smoke must fail CI, not the benchmark.
+(cd tmi3dbench && go vet ./... && go test ./...)
 
 stage tmi3dvet
 # The repo's own analyzers: map-iteration order, lock ordering (RWMutex-mode
-# aware), seed purity, cache-key coverage, per-stage key soundness
-# (stagedeps), global-state purity (globalmut), parallel-loop safety over the
-# flow.ParLoops anchors (parsafe), goroutine discipline (godisc), wire-format
-# totality over the flow.WireTypes manifest (wiresafe), and cancellation/
-# resource discipline in the serving stack (ctxdisc). A single unsuppressed
+# aware), seed purity, per-stage key soundness (stagedeps, which also covers
+# Config.Key, the report stage's artifact ID), global-state purity
+# (globalmut), parallel-loop safety over the flow.ParLoops anchors (parsafe),
+# goroutine discipline (godisc), wire-format totality over the flow.WireTypes
+# manifest (wiresafe), and cancellation/resource discipline in the serving
+# stack (ctxdisc). A single unsuppressed
 # diagnostic fails the gate; the -counts tail prints one line per analyzer so
 # the log shows every check ran. Run `go run ./cmd/tmi3dvet -list` for the
 # suite and the suppression syntax.
