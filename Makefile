@@ -54,7 +54,7 @@ bench-vet:
 bench-parallel:
 	go test . -run '^$$' -bench 'BenchmarkStudy(Serial|Parallel|IntraFlow)' -benchtime 1x
 
-# The staged flow engine's reuse on a clock sweep: monolithic vs cold vs
+# The staged flow engine's reuse on a clock sweep: no cache (flow.Run) vs cold vs
 # warm staged runs, measured in stage-body executions per sweep point.
 # BENCH_stage.json holds the committed baseline.
 bench-stage:

@@ -63,7 +63,7 @@ func main() {
 	byfunc := flag.Bool("byfunc", false, "print the per-function power breakdown table")
 	jobs := flag.Int("j", runtime.GOMAXPROCS(0), "max flows run in parallel (-compare runs 2D and T-MI concurrently when >1)")
 	workers := flag.Int("workers", 0, "intra-flow worker budget for the parallel stage loops (0 = split cores across -j flows; results are byte-identical at any value)")
-	stageDir := flag.String("stagecache", "", "staged-flow artifact store directory; reruns reuse unchanged stages (results byte-identical; empty = monolithic flow)")
+	stageDir := flag.String("stagecache", "", "staged-flow artifact store directory; reruns reuse unchanged stages (results byte-identical; empty = no artifact cache)")
 	flag.Parse()
 	log.SetFlags(0)
 

@@ -15,10 +15,10 @@
 //	tmi3dvet -anchor sta.loads ./...  # re-analyze one anchored parloop
 //
 // -json emits one JSON object carrying every diagnostic (file/line/col/
-// analyzer/message), the per-stage read-set manifest stagedeps computed from
-// the anchored pipeline — the measured dependency surface the incremental
-// flow cache consumes — and the per-loop effect sets parsafe computed from
-// the //tmi3dvet:parloop anchors, the parallelism green board of ROADMAP
+// analyzer/message), the per-stage read sets stagedeps computed from the
+// cases of flow's dispatch function — the measured dependency surface of the
+// staged engine's per-stage keys — the per-loop effect sets parsafe computed
+// from the //tmi3dvet:parloop anchors, the parallelism green board of ROADMAP
 // item 3, and the per-type wire facts wiresafe proved over the flow.WireTypes
 // manifest (codec kind, round-tripping fields, audited off-wire fields). The
 // exit status is unchanged: 1 on any diagnostic, 0 on a clean module.
@@ -32,7 +32,8 @@
 //
 //	//tmi3dvet:ordered <reason>   on or above a map range (maporder)
 //	//tmi3dvet:global <reason>    on or above a mutable global access (globalmut)
-//	//tmi3dvet:stage <name>       above a pipeline stage's first statement (stagedeps)
+//	//tmi3dvet:dispatch            in the doc of the stage dispatch function, whose
+//	                              cases are the stages (stagedeps)
 //	//tmi3dvet:parloop <name>     above a hot loop tracked by flow.ParLoops (parsafe)
 //	//tmi3dvet:parhazard <reason> on a hazard line, or above the for statement
 //	                              to cover the whole loop (parsafe)

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"os/exec"
 	"path/filepath"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -208,5 +210,106 @@ func TestStoreKeyMismatch(t *testing.T) {
 	// key-a itself is untouched.
 	if _, ok, _ := s.Get("key-a"); !ok {
 		t.Fatal("key-a lost")
+	}
+}
+
+// storeProcEnv hands the store directory to the re-executed test binary that
+// plays one process of TestStoreTwoProcesses; storeProcSeedEnv seeds its ops.
+const (
+	storeProcEnv     = "CASTORE_TEST_PROCESS_DIR"
+	storeProcSeedEnv = "CASTORE_TEST_PROCESS_SEED"
+	procKeys         = 6
+)
+
+func procPayload(k int) []byte {
+	// Distinct sizes per key make torn reads detectable.
+	return bytes.Repeat([]byte{byte('a' + k)}, 4096*(k+1))
+}
+
+// TestStoreTwoProcesses runs two processes — re-executions of this test
+// binary — that Put and Get overlapping keys in one store directory at once,
+// over a shard holding the tmp-* file of a writer killed mid-Put. Every Get
+// must be a miss or exactly its key's payload, nothing may be quarantined,
+// and the store ends with one entry per key put.
+func TestStoreTwoProcesses(t *testing.T) {
+	if dir := os.Getenv(storeProcEnv); dir != "" {
+		hammerProcess(t, dir, os.Getenv(storeProcSeedEnv))
+		return
+	}
+	dir := t.TempDir()
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	shard := filepath.Dir(s.EntryPath("proc-key-0"))
+	if err := os.MkdirAll(shard, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	torn := []byte(`{"version":1,"key":"proc-key-0","sum":"`)
+	if err := os.WriteFile(filepath.Join(shard, "tmp-killed"), torn, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	procs := make([]*exec.Cmd, 2)
+	outs := make([]bytes.Buffer, len(procs))
+	for i := range procs {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestStoreTwoProcesses$", "-test.count=1")
+		cmd.Env = append(os.Environ(), storeProcEnv+"="+dir, fmt.Sprintf("%s=%d", storeProcSeedEnv, i))
+		cmd.Stdout, cmd.Stderr = &outs[i], &outs[i]
+		if err := cmd.Start(); err != nil {
+			t.Fatal(err)
+		}
+		procs[i] = cmd
+	}
+	for i, cmd := range procs {
+		if err := cmd.Wait(); err != nil {
+			t.Errorf("process %d: %v\n%s", i, err, outs[i].Bytes())
+		}
+	}
+	if q, err := s.QuarantineLen(); err != nil || q != 0 {
+		t.Errorf("quarantined entries = %d (%v), want 0", q, err)
+	}
+	if n, err := s.Len(); err != nil || n != procKeys {
+		t.Errorf("Len = %d (%v), want %d", n, err, procKeys)
+	}
+	for k := 0; k < procKeys; k++ {
+		key := fmt.Sprintf("proc-key-%d", k)
+		if data, ok, err := s.Get(key); err != nil || !ok || !bytes.Equal(data, procPayload(k)) {
+			t.Errorf("final Get %s: ok=%v err=%v, %d bytes", key, ok, err, len(data))
+		}
+	}
+}
+
+// hammerProcess is one process of TestStoreTwoProcesses: it puts every key,
+// then mixes random Puts and Gets, checking each Get.
+func hammerProcess(t *testing.T, dir, seed string) {
+	s, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.OnQuarantine = func(path string, reason error) { t.Errorf("quarantined %s: %v", path, reason) }
+	n, err := strconv.Atoi(seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(int64(n)))
+	for i := 0; i < 1000; i++ {
+		k := rng.Intn(procKeys)
+		if i < procKeys {
+			k = i
+		}
+		key := fmt.Sprintf("proc-key-%d", k)
+		if i < procKeys || rng.Intn(2) == 0 {
+			if err := s.Put(key, procPayload(k)); err != nil {
+				t.Fatalf("put %s: %v", key, err)
+			}
+			continue
+		}
+		data, ok, err := s.Get(key)
+		if err != nil {
+			t.Fatalf("get %s: %v", key, err)
+		}
+		if ok && !bytes.Equal(data, procPayload(k)) {
+			t.Fatalf("get %s returned a wrong payload (%d bytes)", key, len(data))
+		}
 	}
 }

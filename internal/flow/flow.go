@@ -4,6 +4,11 @@
 // optimization, global routing, RC extraction, post-route optimization with
 // power recovery, and sign-off timing/power analysis.
 //
+// The pipeline is twelve stages in a DAG (Nodes, dag.go) with one executor:
+// a pull-based walk that computes each stage through one dispatch function, on
+// the values of its declared deps. Run is that walk with no cache; the staged
+// engine (internal/stage) is that walk with an artifact cache.
+//
 // Iso-performance comparison (Section 1) falls out of running the same
 // configuration in 2D and T-MI modes at the same target clock and comparing
 // the power reports.
@@ -13,7 +18,6 @@ import (
 	"math"
 	"strconv"
 	"sync"
-	"time"
 
 	"tmi3d/internal/captable"
 	"tmi3d/internal/circuits"
@@ -22,7 +26,6 @@ import (
 	"tmi3d/internal/lint"
 	"tmi3d/internal/netlist"
 	"tmi3d/internal/opt"
-	"tmi3d/internal/par"
 	"tmi3d/internal/place"
 	"tmi3d/internal/power"
 	"tmi3d/internal/rcx"
@@ -217,109 +220,6 @@ func generated(name string, scale float64) (*netlist.Design, error) {
 	genMu.Unlock()
 	e.once.Do(func() { e.d, e.err = circuits.Generate(name, scale) })
 	return e.d, e.err
-}
-
-// Run executes the full flow: the twelve stages in pipeline order, each cached
-// stage one call of its node function (nodes.go) — the same functions the
-// staged engine (internal/stage) calls on cached envelopes, which is what
-// makes staged execution byte-identical to this run.
-//
-// The //tmi3dvet:stage anchors segment the body into the named regions of the
-// per-stage incremental cache; the stagedeps analyzer verifies each region's
-// Config read set against the StageKeys manifest in stagekeys.go, so a stage
-// can never silently grow a dependency its cache key does not cover, and the
-// staged engine's declarative DAG is tested against the analyzer's computed
-// artifact edges.
-func Run(cfg Config) (*Result, error) {
-	//tmi3dvet:stage setup
-	if cfg.Scale == 0 {
-		cfg.Scale = 1.0
-	}
-	// Every random decision downstream draws from a stream derived purely
-	// from the configuration, never from scheduling order — the determinism
-	// contract that lets the experiment engine run flows in parallel and
-	// still produce bit-identical reports.
-	seed := cfg.DeriveSeed()
-	// Intra-flow worker budget, shared by every parallel stage loop below.
-	// Resolved once (0 → GOMAXPROCS) so callers running several flows
-	// concurrently can split the cores between them without oversubscribing.
-	workers := par.Budget(cfg.Workers)
-	prof := NewProfile()
-	t0 := time.Now()
-	//tmi3dvet:stage library
-	t, lib, err := cfg.Library()
-	if err != nil {
-		return nil, err
-	}
-	prof.Add("library", time.Since(t0))
-
-	//tmi3dvet:stage generate
-	t0 = time.Now()
-	gen, calib, err := cfg.GenerateDesign()
-	if err != nil {
-		return nil, err
-	}
-	prof.Add("generate", time.Since(t0))
-
-	//tmi3dvet:stage wlm
-	wa := cfg.WLMNode(lib, gen)
-
-	// Design-integrity and formal sign-off gates at the stage boundaries
-	// where the paper's flow runs Encounter sanity checks and Conformal/
-	// Formality compares; each gated node records into its own fresh set.
-	//tmi3dvet:stage gates
-	gs, err := cfg.Gates(lib, seed, prof)
-	if err != nil {
-		return nil, err
-	}
-
-	//tmi3dvet:stage synth
-	sa, err := SynthNode(gen, lib, wa, gs.Fresh(), prof)
-	if err != nil {
-		return nil, err
-	}
-
-	//tmi3dvet:stage place
-	pa, err := PlaceNode(t, lib, wa, sa, seed, workers, prof)
-	if err != nil {
-		return nil, err
-	}
-
-	// From here on the flow targets the sweep clock: the override steers
-	// optimization, sign-off, and power while the artifacts above stay
-	// clock-independent.
-	//tmi3dvet:stage opt
-	tb := cfg.CapTable(t)
-	oa, err := cfg.OptNode(lib, tb, sa, pa, calib, workers, gs.Fresh(), prof)
-	if err != nil {
-		return nil, err
-	}
-	// Run owns its envelopes: it drops each netlist after its last consumer,
-	// so a flow keeps at most two alive (the report reads only the synth and
-	// opt envelopes' statistics and gate reports).
-	sa.Design = nil
-
-	//tmi3dvet:stage route
-	ra, err := RouteNode(t, oa, workers, prof)
-	if err != nil {
-		return nil, err
-	}
-
-	//tmi3dvet:stage signoff
-	so, err := SignoffNode(t, lib, tb, oa, ra, workers, gs.Fresh(), prof)
-	if err != nil {
-		return nil, err
-	}
-	oa.Design = nil
-
-	//tmi3dvet:stage power
-	pw, err := cfg.PowerNode(t, lib, tb, so, prof)
-	if err != nil {
-		return nil, err
-	}
-
-	//tmi3dvet:stage report
-	return ReportNode(cfg, lib, gs, sa, oa, so, pw, prof), nil
 }
 
 // estimateArea sums X1-mapped cell areas of the generic netlist.

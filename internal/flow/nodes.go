@@ -20,11 +20,11 @@ import (
 )
 
 // This file holds one body per cached stage of the pipeline: the node
-// functions Run calls in sequence and the staged engine (internal/stage)
-// calls on cached or freshly computed envelopes. Each node takes its upstream
-// envelopes plus per-run values (technology, library, generated netlist,
-// calibration, seed, workers, a fresh GateSet, the profile), treats every
-// input as read-only, clones only what it mutates, and returns its own
+// functions dispatch (dag.go) calls on upstream envelopes, whether the walk
+// computed them or a cache served them. Each node takes its upstream
+// envelopes plus per-run values (technology, library, RC table, generated
+// netlist, calibration, seed, workers, a fresh GateSet, the profile), treats
+// every input as read-only, clones only what it mutates, and returns its own
 // envelope. A node method reads only its own StageKeys fields from the Config;
 // anything else it needs arrives as an argument.
 //
@@ -92,8 +92,9 @@ type PowerArtifact struct {
 	Clock *cts.Result   `json:"clock_tree"`
 }
 
-// CapTable builds the RC table of the optimization and sign-off stages: the
-// technology's layer stack under the config's resistivity scaling.
+// CapTable builds the RC table of the opt, signoff and power stages, each of
+// which builds its own: the technology's layer stack under the config's
+// resistivity scaling.
 func (c Config) CapTable(t *tech.Technology) *captable.Table {
 	return captable.Build(t, captable.Options{ResistivityScale: c.ResistivityScale})
 }

@@ -1,27 +1,24 @@
 package flow
 
-// StageKeys is the declarative per-stage cache-key contract for the anchored
-// regions of Run: for each //tmi3dvet:stage name, the Config fields whose
-// values the stage's cached artifacts may depend on. The stagedeps analyzer
-// (internal/vet) diffs each stage's statically computed transitive read set
-// against this map on every CI run, so the manifest is proven sound — a field
-// read here but missing from the key would serve stale cached artifacts; a
-// listed field the stage never reads would split identical artifacts into
-// distinct cache entries.
+// StageKeys is the declarative per-stage cache-key contract for the cases of
+// dispatch: for each stage, the Config fields whose values the stage's body
+// may read. The stagedeps analyzer (internal/vet) diffs each case's statically
+// computed transitive read set against this map on every CI run, so the
+// manifest is proven sound — a field read here but missing from the key would
+// serve stale cached artifacts; a listed field the stage never reads would
+// split identical artifacts into distinct cache entries.
 //
-// Everything a stage consumes beyond its key fields is an upstream artifact
-// (netlist, placement, the derived seed, the gate set) and is covered by the
-// producing stage's artifact hash — that producer/consumer edge set, also
-// computed by stagedeps, is the dependency DAG the staged engine
-// (internal/stage) walks; its declarative copy is tested against the
-// analyzer's facts.
+// Everything a stage consumes beyond its key fields is the value of a declared
+// dep in Nodes (netlist, placement, the derived seed, the gate set), which the
+// walk hands it and nothing else, and whose key fields the node's key-field
+// closure includes.
 //
-// Reporting-only stages have empty keys on purpose: synth, place, route, and
-// signoff are pure functions of upstream artifacts, which is exactly what
-// makes them cacheable at fine grain. ClockPs appears only at opt (and the
-// whole-config report stage): a sweep override steers optimization and
-// sign-off, never synthesis or placement, so clock-sweep points share every
-// upstream artifact.
+// Reporting-only stages have empty keys on purpose: synth, place and route are
+// pure functions of upstream artifacts, which is exactly what makes them
+// cacheable at fine grain. ClockPs appears only at opt (and the whole-config
+// report stage): a sweep override steers optimization and sign-off, never
+// synthesis or placement, so clock-sweep points share every upstream artifact.
+// opt, signoff and power each build the RC table from ResistivityScale.
 var StageKeys = map[string][]string{
 	"setup":    {"Activities", "Circuit", "Mode", "Node", "PinCapScale", "ResistivityScale", "Scale", "Seed", "Use2DWLM", "Util", "Workers"},
 	"library":  {"Mode", "Node", "PinCapScale"},
@@ -32,7 +29,7 @@ var StageKeys = map[string][]string{
 	"place":    {},
 	"opt":      {"ClockPs", "ResistivityScale"},
 	"route":    {},
-	"signoff":  {},
-	"power":    {"Activities"},
+	"signoff":  {"ResistivityScale"},
+	"power":    {"Activities", "ResistivityScale"},
 	"report":   {"Activities", "Circuit", "ClockPs", "Equiv", "Lint", "Mode", "Node", "PinCapScale", "ResistivityScale", "Scale", "Seed", "Use2DWLM", "Util", "Workers"},
 }

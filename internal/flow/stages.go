@@ -26,10 +26,9 @@ import (
 // from. They mutate the design and placement they are given; the nodes own the
 // cloning.
 
-// Normalized returns the config with defaulted fields resolved the way Run's
-// setup stage resolves them (Scale 0 → 1.0). The staged engine keys artifacts
-// on the normalized form so `scale 0` and `scale 1` share them, matching the
-// Result.Config the monolith reports.
+// Normalized returns the config with defaulted fields resolved (Scale 0 →
+// 1.0): the config every walk runs and keys artifacts on, so `scale 0` and
+// `scale 1` share them, matching the Result.Config a run reports.
 func (c Config) Normalized() Config {
 	if c.Scale == 0 {
 		c.Scale = 1.0

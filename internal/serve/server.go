@@ -453,18 +453,32 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteText(w)
 }
 
+// maxBodyBytes caps a POST /v1/ppa body; an encoded flow.Config is well
+// under a kilobyte.
+const maxBodyBytes = 1 << 20
+
 // requestConfig extracts the flow configuration: query parameters on GET, a
-// JSON flow.Config body on POST (the round-trippable encoding).
-func (s *Server) requestConfig(r *http.Request) (flow.Config, error) {
+// JSON flow.Config body on POST (the round-trippable encoding) — one object,
+// then nothing but whitespace, within maxBodyBytes.
+func requestConfig(w http.ResponseWriter, r *http.Request) (flow.Config, error) {
 	if r.Method == http.MethodPost {
 		var cfg flow.Config
-		dec := json.NewDecoder(r.Body)
+		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 		dec.DisallowUnknownFields()
 		if err := dec.Decode(&cfg); err != nil {
 			return cfg, fmt.Errorf("body: %w", err)
 		}
+		if _, err := dec.Token(); err != io.EOF {
+			return cfg, fmt.Errorf("body: data after the config object")
+		}
 		if cfg.Scale == 0 {
 			cfg.Scale = 1.0
+		}
+		// -0 would key apart from the default it means, as in ParseConfig.
+		for _, f := range []*float64{&cfg.ClockPs, &cfg.Util, &cfg.PinCapScale, &cfg.Activities.PrimaryInput, &cfg.Activities.SeqOutput} {
+			if *f == 0 {
+				*f = 0
+			}
 		}
 		// Re-parse through the query surface so POST obeys the same
 		// circuit validation as GET.
@@ -545,7 +559,7 @@ func (s *Server) ppaJob(cfg flow.Config, stageHits *string) func() ([]byte, erro
 }
 
 func (s *Server) handlePPA(w http.ResponseWriter, r *http.Request) {
-	cfg, err := s.requestConfig(r)
+	cfg, err := requestConfig(w, r)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 		return

@@ -31,7 +31,7 @@ const fpuQuery = "circuit=FPU&scale=0.05"
 type reportFunc = func(flow.Config) ([]byte, stage.RunStats, error)
 
 // directPayload is the byte-identity reference: the canonical encoding of a
-// monolithic flow.Run.
+// direct flow.Run.
 func directPayload(t *testing.T, query string) []byte {
 	t.Helper()
 	cfg, err := ParseConfig(mustQuery(query))
@@ -470,6 +470,8 @@ func TestPostRejectsBadEnums(t *testing.T) {
 		`{"circuit":"AES","activities":{"primary_input":-0.2}}`,
 		`{"circuit":"AES","resistivity_scale":{"0":0}}`,
 		`{"circuit":"AES","resistivity_scale":{"3":-2}}`,
+		`{"circuit":"FPU","scale":0.1}{"circuit":"AES","scale":0.9} junk`,
+		`{"circuit":"AES",` + strings.Repeat(" ", maxBodyBytes) + `"scale":0.1}`,
 	} {
 		resp, err := http.Post(ts.URL+"/v1/ppa", "application/json", strings.NewReader(body))
 		if err != nil {

@@ -24,35 +24,18 @@ func encodeArtifact(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeNode parses a node's artifact bytes into its envelope. The engine
-// routes every artifact — freshly computed or loaded from a cache tier —
-// through this decoder, so consumers always see the decoded form and cold and
-// warm executions are identical by construction.
-func decodeNode(name string, data []byte) (any, error) {
-	var v any
-	switch name {
-	case "wlm":
-		v = &flow.WLMArtifact{}
-	case "synth":
-		v = &flow.SynthArtifact{}
-	case "place":
-		v = &flow.PlaceArtifact{}
-	case "opt":
-		v = &flow.OptArtifact{}
-	case "route":
-		v = &flow.RouteArtifact{}
-	case "signoff":
-		v = &flow.SignoffArtifact{}
-	case "power":
-		v = &flow.PowerArtifact{}
-	case "report":
-		// The report artifact is the flow result's wire payload itself.
+// decodeArtifact parses a node's artifact bytes into a fresh envelope of the
+// node's type. The engine routes every artifact — freshly computed or loaded
+// from a cache tier — through this decoder, so consumers always see the
+// decoded form and cold and warm executions are identical by construction.
+// The report's decoded form is its payload bytes.
+func decodeArtifact(n *flow.Node, data []byte) (any, error) {
+	if n.Envelope == nil {
 		return data, nil
-	default:
-		return nil, fmt.Errorf("stage: no artifact codec for node %q", name)
 	}
+	v := n.Envelope()
 	if err := json.Unmarshal(data, v); err != nil {
-		return nil, fmt.Errorf("stage: decode %s artifact: %w", name, err)
+		return nil, fmt.Errorf("stage: decode %s artifact: %w", n.Name, err)
 	}
 	return v, nil
 }

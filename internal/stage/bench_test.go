@@ -15,7 +15,8 @@ import (
 // as stage-execs/point (all stages) and upstream-execs/point (the wlm → synth
 // → place cone a sweep should run once, not per point).
 //
-//   - monolithic: flow.Run per point; every stage executes every point.
+//   - monolithic: flow.Run, the walk with no cache, per point; every stage
+//     executes every point.
 //   - staged-cold: a fresh engine and store; the first point pays full price,
 //     later points reuse the upstream cone from memory.
 //   - staged-warm: the store already holds this sweep's artifacts (a re-run
@@ -55,7 +56,7 @@ func BenchmarkStagedSweep(b *testing.B) {
 			}
 		}
 		// Each point runs every one of the 12 stages by construction.
-		b.ReportMetric(float64(len(Nodes)), "stage-execs/point")
+		b.ReportMetric(float64(len(flow.Nodes)), "stage-execs/point")
 		b.ReportMetric(3, "upstream-execs/point")
 	})
 

@@ -1,19 +1,51 @@
+// Package stage is the staged flow engine: the artifact cache of flow's DAG
+// walk. flow owns the one executor — flow.Walk pulls the twelve stages of
+// flow.Nodes through one dispatch function — and flow.Run is that walk with no
+// cache. An Engine is the walk with a cache: for every cached node the walk
+// asks the engine, which serves the node's artifact from memory or a
+// persistent store, or computes it once, so sweeps recompute only the dirty
+// cone. A clock sweep reruns opt/route/signoff/power/report per point while
+// generate, synthesis, and placement are computed once; a 2D-vs-T-MI compare
+// shares whatever prefix its two configs agree on.
+//
+// # Content addressing
+//
+// Every node has a stage key — flow.KeyFields, its flow.StageKeys Config
+// fields minus Workers — and a key-field closure: the sorted union of its own
+// key fields and those of every node upstream of it. Its artifact ID
+// (flow.Node.ID) is flow.Config.ArtifactID over the closure:
+//
+//	id = sha256(version, name, field=term over the key-field closure)
+//
+// Two configs share a stage's artifact exactly when they agree on every field
+// of its closure — the same sharing a chain of upstream IDs would give, at the
+// cost of one hash per lookup. The report node's closure is the whole config,
+// so its ID is flow.Config.Key, which the serving layer probes with.
+// Soundness rests on two checks: the stagedeps analyzer proves each dispatch
+// case reads no Config field outside its StageKeys entry, and the walk hands a
+// node only the values of its declared deps, so a node's artifact depends on
+// nothing its closure does not pin.
+//
+// # Byte identity
+//
+// One walk, and cache state never changes bytes: with or without a cache, the
+// same dispatch computes every node from its deps' values. A cache only
+// decides whether a node's body runs or its artifact is loaded instead, and
+// artifact codecs are exact inverses, with every artifact — fresh or loaded —
+// handed downstream in its decoded form; envelopes are immutable (node bodies
+// clone what they mutate). Tests diff report, Verilog, and DEF bytes across
+// cold, warm, partial-hit and broken stores.
 package stage
 
 import (
 	"container/list"
 	"fmt"
 	"os"
+	"strings"
 	"sync"
-	"time"
 
-	"tmi3d/internal/captable"
 	"tmi3d/internal/castore"
 	"tmi3d/internal/flow"
-	"tmi3d/internal/liberty"
-	"tmi3d/internal/netlist"
-	"tmi3d/internal/par"
-	"tmi3d/internal/tech"
 )
 
 // Cache events reported to OnEvent and accumulated in Counters.
@@ -57,10 +89,10 @@ func (s RunStats) Summary() string {
 // points of hot artifacts.
 const memLimit = 64
 
-// Engine executes flows as the stage DAG with content-addressed reuse. Its
-// Run is a drop-in for flow.Run — byte-identical results at any cache state —
-// backed by two tiers: an in-process LRU of decoded artifacts and, when
-// opened with a directory, a persistent castore shared across processes.
+// Engine caches the artifacts of flow's DAG walk with content-addressed reuse.
+// Its Run is a drop-in for flow.Run — byte-identical results at any cache
+// state — backed by two tiers: an in-process LRU of decoded artifacts and,
+// when opened with a directory, a persistent castore shared across processes.
 //
 // An Engine is safe for concurrent use; concurrent runs needing the same
 // artifact compute it once (the second run waits and counts a memory hit).
@@ -135,7 +167,7 @@ func (e *Engine) StoreLen() (int, error) {
 	return e.store.Len()
 }
 
-func (e *Engine) event(rc *runCtx, stage, ev string) {
+func (e *Engine) event(r *run, stage, ev string) {
 	e.mu.Lock()
 	c := e.counters[stage]
 	if c == nil {
@@ -155,14 +187,14 @@ func (e *Engine) event(rc *runCtx, stage, ev string) {
 		c.StoreErrors++
 	}
 	e.mu.Unlock()
-	if rc != nil {
+	if r != nil {
 		switch ev {
 		case EventMemHit:
-			rc.stats.MemHits++
+			r.stats.MemHits++
 		case EventDiskHit:
-			rc.stats.DiskHits++
+			r.stats.DiskHits++
 		case EventExecute:
-			rc.stats.Executions++
+			r.stats.Executions++
 		}
 	}
 	if e.onEvent != nil {
@@ -170,9 +202,10 @@ func (e *Engine) event(rc *runCtx, stage, ev string) {
 	}
 }
 
-// Run executes the flow for cfg through the stage DAG. The result is
-// byte-identical to flow.Run(cfg) — same report payload, same final netlist
-// and placement — whatever mix of cache tiers served the stages.
+// Run executes the flow for cfg: flow's DAG walk with this engine as its
+// cache. The result is byte-identical to flow.Run(cfg) — same report payload,
+// same final netlist and placement — whatever mix of cache tiers served the
+// stages.
 func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
 	res, _, err := e.RunStats(cfg)
 	return res, err
@@ -180,8 +213,8 @@ func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
 
 // RunStats is Run plus this run's cache accounting.
 func (e *Engine) RunStats(cfg flow.Config) (*flow.Result, RunStats, error) {
-	rc := e.newRun(cfg)
-	data, stats, err := rc.report()
+	r := e.newRun(cfg)
+	data, stats, err := r.report()
 	if err != nil {
 		return nil, stats, err
 	}
@@ -191,9 +224,9 @@ func (e *Engine) RunStats(cfg flow.Config) (*flow.Result, RunStats, error) {
 	}
 	// Reattach the in-memory artifacts the wire payload excludes: the final
 	// implementation (for Verilog/DEF export) and this run's stage profile.
-	sv, err := rc.artifact("signoff")
+	sv, err := r.walk.Value("signoff")
 	if err != nil {
-		return nil, rc.stats, err
+		return nil, r.stats, err
 	}
 	sga := sv.(*flow.SignoffArtifact)
 	res.Design = sga.Design.Clone()
@@ -210,14 +243,36 @@ func (e *Engine) Report(cfg flow.Config) ([]byte, RunStats, error) {
 	return e.newRun(cfg).report()
 }
 
-func (rc *runCtx) report() ([]byte, RunStats, error) {
-	v, err := rc.artifact("report")
-	rc.stats.StageTimes = rc.prof.Times()
-	if err != nil {
-		return nil, rc.stats, err
-	}
-	return v.([]byte), rc.stats, nil
+// run is one walk's cache: it serves the walk's cached nodes through the
+// engine and tallies the walk's cache accounting.
+type run struct {
+	e     *Engine
+	walk  *flow.Walk
+	stats RunStats
 }
+
+func (e *Engine) newRun(cfg flow.Config) *run {
+	r := &run{e: e}
+	r.walk = flow.NewWalk(cfg, r)
+	return r
+}
+
+func (r *run) report() ([]byte, RunStats, error) {
+	v, err := r.walk.Value("report")
+	r.stats.StageTimes = r.walk.StageTimes()
+	if err != nil {
+		return nil, r.stats, err
+	}
+	return v.([]byte), r.stats, nil
+}
+
+// Artifact implements flow.Cache.
+func (r *run) Artifact(n *flow.Node, id string, compute func() (any, error)) (any, error) {
+	return r.e.artifact(r, n, id, compute)
+}
+
+// Executed implements flow.Cache: an uncached node ran.
+func (r *run) Executed(n *flow.Node) { r.e.event(r, n.Name, EventExecute) }
 
 // Cached looks up a report artifact by its ID — a config's Key — in the
 // memory tier only: no store read, no execution, one map probe. A miss is
@@ -249,25 +304,26 @@ type PlanEntry struct {
 // would be served from — the `tmi3d stages` subcommand's view.
 func (e *Engine) Plan(cfg flow.Config) []PlanEntry {
 	cfg = cfg.Normalized()
-	idByName := ids(cfg)
+	ids := make([]string, len(flow.Nodes))
+	for i := range flow.Nodes {
+		ids[i] = flow.Nodes[i].ID(cfg)
+	}
 	// Snapshot the memory tier's membership under the lock, then probe the
 	// disk tier unlocked: a Stat per node while holding e.mu would stall
 	// every concurrent artifact() behind the filesystem.
-	inMem := make(map[string]bool, len(Nodes))
+	inMem := make(map[string]bool, len(ids))
 	e.mu.Lock()
-	for i := range Nodes {
-		if id := idByName[Nodes[i].Name]; id != "" {
-			_, inMem[id] = e.mem[id]
-		}
+	for _, id := range ids {
+		_, inMem[id] = e.mem[id]
 	}
 	e.mu.Unlock()
-	out := make([]PlanEntry, 0, len(Nodes))
-	for i := range Nodes {
-		n := &Nodes[i]
+	out := make([]PlanEntry, 0, len(flow.Nodes))
+	for i := range flow.Nodes {
+		n := &flow.Nodes[i]
 		pe := PlanEntry{
 			Name:   n.Name,
 			Key:    KeyString(cfg, n.Name),
-			ID:     idByName[n.Name],
+			ID:     ids[i],
 			Cached: n.Cached,
 			Tier:   "-",
 		}
@@ -284,6 +340,17 @@ func (e *Engine) Plan(cfg flow.Config) []PlanEntry {
 		out = append(out, pe)
 	}
 	return out
+}
+
+// KeyString renders a node's own stage key for a config in the canonical
+// field=value form — what the `tmi3d stages` subcommand shows per node.
+func KeyString(cfg flow.Config, name string) string {
+	fields := flow.KeyFields(name)
+	terms := make([]string, len(fields))
+	for i, f := range fields {
+		terms[i] = f + "=" + cfg.FieldKeyTerm(f)
+	}
+	return strings.Join(terms, "|")
 }
 
 // storeKey is the persistent tier's key for a node's artifact. The name is
@@ -318,15 +385,15 @@ func (e *Engine) memPut(id string, v any) {
 }
 
 // artifact serves one cached node: memory tier, then the store, then
-// execution (with inflight deduplication across concurrent runs). A panicking
+// compute (with inflight deduplication across concurrent runs). A panicking
 // stage body still retires its inflight entry — waiters wake with an error
 // and a later run retries — before the panic continues up this run's stack.
-func (e *Engine) artifact(rc *runCtx, name string) (v any, err error) {
-	id := rc.ids[name]
+func (e *Engine) artifact(r *run, n *flow.Node, id string, compute func() (any, error)) (v any, err error) {
+	name := n.Name
 	e.mu.Lock()
 	if v, ok := e.memGet(id); ok {
 		e.mu.Unlock()
-		e.event(rc, name, EventMemHit)
+		e.event(r, name, EventMemHit)
 		return v, nil
 	}
 	c, waiting := e.inflight[id]
@@ -343,7 +410,7 @@ func (e *Engine) artifact(rc *runCtx, name string) (v any, err error) {
 		}
 		// The other run decoded and published the artifact; serving it
 		// without re-executing is this run's memory hit.
-		e.event(rc, name, EventMemHit)
+		e.event(r, name, EventMemHit)
 		return c.v, nil
 	}
 	panicked := true
@@ -360,182 +427,46 @@ func (e *Engine) artifact(rc *runCtx, name string) (v any, err error) {
 		e.mu.Unlock()
 		c.wg.Done()
 	}()
-	v, err = e.fill(rc, name, id)
+	v, err = e.fill(r, n, id, compute)
 	panicked = false
 	return v, err
 }
 
-// fill loads a node's artifact from the store or executes it, publishing
+// fill loads a node's artifact from the store or computes it, publishing
 // fresh bytes back to the store. Both paths return the decoded form. A store
 // that fails to read or write degrades to recomputation, counted as a
 // store_error event.
-func (e *Engine) fill(rc *runCtx, name, id string) (any, error) {
+func (e *Engine) fill(r *run, n *flow.Node, id string, compute func() (any, error)) (any, error) {
+	name := n.Name
 	key := storeKey(name, id)
 	if e.store != nil {
 		data, ok, err := e.store.Get(key)
 		if err != nil {
-			e.event(rc, name, EventStoreError)
+			e.event(r, name, EventStoreError)
 		}
 		if ok {
-			if v, derr := decodeNode(name, data); derr == nil {
-				e.event(rc, name, EventDiskHit)
+			if v, derr := decodeArtifact(n, data); derr == nil {
+				e.event(r, name, EventDiskHit)
 				return v, nil
 			}
 			// Undecodable despite a verified checksum: an envelope format
 			// skew. Recompute and overwrite below, like any miss.
 		}
 	}
-	e.event(rc, name, EventMiss)
-	data, err := rc.execute(name)
+	e.event(r, name, EventMiss)
+	e.event(r, name, EventExecute)
+	v, err := compute()
+	if err != nil {
+		return nil, err
+	}
+	data, err := encodeArtifact(v)
 	if err != nil {
 		return nil, err
 	}
 	if e.store != nil {
 		if err := e.store.Put(key, data); err != nil {
-			e.event(rc, name, EventStoreError)
+			e.event(r, name, EventStoreError)
 		}
 	}
-	return decodeNode(name, data)
-}
-
-// runCtx is one Run's working state: the normalized config, the per-node
-// artifact IDs, the per-run values of the uncached nodes, and this run's
-// resolved artifacts (so a node consumed by several downstream stages loads
-// once per run even if the memory tier has evicted it).
-type runCtx struct {
-	eng   *Engine
-	cfg   flow.Config
-	ids   map[string]string
-	prof  *flow.Profile
-	stats RunStats
-
-	// Per-run values, resolved on first use by a node that declares them.
-	resolved map[string]bool
-	seed     uint64
-	workers  int
-	calib    float64
-	t        *tech.Technology
-	lib      *liberty.Library
-	gen      *netlist.Design
-	gs       *flow.GateSet
-	tb       *captable.Table
-
-	arts map[string]any
-}
-
-func (e *Engine) newRun(cfg flow.Config) *runCtx {
-	cfg = cfg.Normalized()
-	return &runCtx{
-		eng:      e,
-		cfg:      cfg,
-		ids:      ids(cfg),
-		prof:     flow.NewProfile(),
-		resolved: map[string]bool{},
-		arts:     map[string]any{},
-	}
-}
-
-func (rc *runCtx) artifact(name string) (any, error) {
-	if v, ok := rc.arts[name]; ok {
-		return v, nil
-	}
-	v, err := rc.eng.artifact(rc, name)
-	if err != nil {
-		return nil, err
-	}
-	rc.arts[name] = v
-	return v, nil
-}
-
-// resolve makes one declared dependency available: a cached node's artifact,
-// or an uncached node's per-run values, computed at most once per run.
-func (rc *runCtx) resolve(name string) error {
-	n := nodeByName[name]
-	if n.Cached {
-		_, err := rc.artifact(name)
-		return err
-	}
-	if rc.resolved[name] {
-		return nil
-	}
-	for _, dep := range n.Deps {
-		if err := rc.resolve(dep); err != nil {
-			return err
-		}
-	}
-	var err error
-	t0 := time.Now()
-	switch name {
-	case "setup":
-		rc.seed = rc.cfg.DeriveSeed()
-		rc.workers = par.Budget(rc.cfg.Workers)
-		// The generate stage's calibration factor, without generating.
-		rc.calib = flow.ClockCalibrationFactor(rc.cfg.Circuit, rc.cfg.Node)
-	case "library":
-		rc.t, rc.lib, err = rc.cfg.Library()
-		rc.prof.Add("library", time.Since(t0))
-	case "generate":
-		rc.gen, _, err = rc.cfg.GenerateDesign()
-		rc.prof.Add("generate", time.Since(t0))
-	case "gates":
-		rc.gs, err = rc.cfg.Gates(rc.lib, rc.seed, rc.prof)
-	}
-	if err != nil {
-		return err
-	}
-	rc.resolved[name] = true
-	rc.eng.event(rc, name, EventExecute)
-	return nil
-}
-
-// captable is the RC table of the opt cone. Its inputs (technology,
-// ResistivityScale) are pinned by the consumer's artifact ID through the opt
-// dependency.
-func (rc *runCtx) captable() *captable.Table {
-	if rc.tb == nil {
-		rc.tb = rc.cfg.CapTable(rc.t)
-	}
-	return rc.tb
-}
-
-// execute runs one cached node: it resolves the node's declared deps, calls
-// the flow node function flow.Run calls, and encodes the returned envelope.
-func (rc *runCtx) execute(name string) ([]byte, error) {
-	rc.eng.event(rc, name, EventExecute)
-	for _, dep := range nodeByName[name].Deps {
-		if err := rc.resolve(dep); err != nil {
-			return nil, err
-		}
-	}
-	a := rc.arts
-	var v any
-	var err error
-	switch name {
-	case "wlm":
-		v = rc.cfg.WLMNode(rc.lib, rc.gen)
-	case "synth":
-		v, err = flow.SynthNode(rc.gen, rc.lib, a["wlm"].(*flow.WLMArtifact), rc.gs.Fresh(), rc.prof)
-	case "place":
-		v, err = flow.PlaceNode(rc.t, rc.lib, a["wlm"].(*flow.WLMArtifact), a["synth"].(*flow.SynthArtifact),
-			rc.seed, rc.workers, rc.prof)
-	case "opt":
-		v, err = rc.cfg.OptNode(rc.lib, rc.captable(), a["synth"].(*flow.SynthArtifact), a["place"].(*flow.PlaceArtifact),
-			rc.calib, rc.workers, rc.gs.Fresh(), rc.prof)
-	case "route":
-		v, err = flow.RouteNode(rc.t, a["opt"].(*flow.OptArtifact), rc.workers, rc.prof)
-	case "signoff":
-		v, err = flow.SignoffNode(rc.t, rc.lib, rc.captable(), a["opt"].(*flow.OptArtifact), a["route"].(*flow.RouteArtifact),
-			rc.workers, rc.gs.Fresh(), rc.prof)
-	case "power":
-		v, err = rc.cfg.PowerNode(rc.t, rc.lib, rc.captable(), a["signoff"].(*flow.SignoffArtifact), rc.prof)
-	case "report":
-		return flow.EncodeResult(flow.ReportNode(rc.cfg, rc.lib, rc.gs, a["synth"].(*flow.SynthArtifact),
-			a["opt"].(*flow.OptArtifact), a["signoff"].(*flow.SignoffArtifact), a["power"].(*flow.PowerArtifact), rc.prof))
-	default:
-		return nil, fmt.Errorf("stage: no executor for node %q", name)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return encodeArtifact(v)
+	return decodeArtifact(n, data)
 }

@@ -57,7 +57,7 @@ func mustEqual(t *testing.T, label string, mono, staged resultBytes) {
 		{"def", mono.def, staged.def},
 	} {
 		if !bytes.Equal(c.want, c.got) {
-			t.Errorf("%s: staged %s bytes differ from monolithic (%d vs %d bytes)",
+			t.Errorf("%s: staged %s bytes differ from the no-cache run (%d vs %d bytes)",
 				label, c.kind, len(c.got), len(c.want))
 		}
 	}
@@ -76,9 +76,21 @@ func monoRun(t *testing.T, cfg flow.Config) resultBytes {
 	t.Helper()
 	res, err := flow.Run(cfg)
 	if err != nil {
-		t.Fatalf("monolithic run: %v", err)
+		t.Fatalf("no-cache run: %v", err)
 	}
 	return capture(t, res)
+}
+
+// node looks up a DAG node by name.
+func node(t *testing.T, name string) *flow.Node {
+	t.Helper()
+	for i := range flow.Nodes {
+		if flow.Nodes[i].Name == name {
+			return &flow.Nodes[i]
+		}
+	}
+	t.Fatalf("no DAG node %q", name)
+	return nil
 }
 
 // removeEntries deletes the store entries for the named stages of cfg,
@@ -97,7 +109,7 @@ func removeEntries(t *testing.T, e *Engine, cfg flow.Config, names ...string) {
 	}
 }
 
-// The core contract: staged execution is byte-identical to the monolithic
+// The core contract: staged execution is byte-identical to the no-cache
 // flow — report payload, Verilog, DEF — under every cache state (cold, memory
 // warm, disk warm, partially populated, corrupted), and a clock sweep
 // executes synthesis and placement exactly once.
@@ -155,7 +167,7 @@ func TestStagedByteIdentity(t *testing.T) {
 	}
 
 	// Corruption: a flipped payload byte quarantines the entry, costing one
-	// clean recompute — and the result still matches the monolith.
+	// clean recompute — and the result still matches the no-cache run.
 	removeEntries(t, e3, cfg, "report")
 	var powerPath string
 	for _, pe := range e3.Plan(cfg) {
@@ -244,7 +256,7 @@ func TestArtifactRoundTrip(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("%s artifact missing after run (%v)", pe.Name, err)
 		}
-		v, err := decodeNode(pe.Name, data)
+		v, err := decodeArtifact(node(t, pe.Name), data)
 		if err != nil {
 			t.Fatalf("decode %s: %v", pe.Name, err)
 		}
@@ -278,7 +290,7 @@ func TestNonFiniteTimingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := decodeNode("signoff", data)
+	v, err := decodeArtifact(node(t, "signoff"), data)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -383,7 +395,7 @@ func TestReportGolden(t *testing.T) {
 }
 
 // A store that breaks after open degrades to recomputation: the run still
-// returns the monolith's payload, and every failed read and write counts as
+// returns the no-cache run's payload, and every failed read and write counts as
 // a store_error.
 func TestStoreFaultRecomputes(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "store")

@@ -37,14 +37,13 @@ func (e *Engine) WireIdentity(cfg flow.Config) ([]WireCheck, error) {
 		return nil, err
 	}
 	cfg = cfg.Normalized()
-	idByName := ids(cfg)
-	out := make([]WireCheck, 0, len(Nodes))
-	for i := range Nodes {
-		n := &Nodes[i]
+	out := make([]WireCheck, 0, len(flow.Nodes))
+	for i := range flow.Nodes {
+		n := &flow.Nodes[i]
 		if !n.Cached {
 			continue
 		}
-		wc := WireCheck{Name: n.Name, ID: idByName[n.Name]}
+		wc := WireCheck{Name: n.Name, ID: n.ID(cfg)}
 		data, ok, err := e.store.Get(storeKey(n.Name, wc.ID))
 		if err != nil {
 			return nil, err
@@ -55,7 +54,7 @@ func (e *Engine) WireIdentity(cfg flow.Config) ([]WireCheck, error) {
 			continue
 		}
 		wc.Bytes = len(data)
-		re, err := reencodeNode(n.Name, data)
+		re, err := reencodeNode(n, data)
 		switch {
 		case err != nil:
 			wc.Detail = err.Error()
@@ -71,15 +70,15 @@ func (e *Engine) WireIdentity(cfg flow.Config) ([]WireCheck, error) {
 }
 
 // reencodeNode round-trips one node's artifact bytes through its codec.
-func reencodeNode(name string, data []byte) ([]byte, error) {
-	if name == "report" {
+func reencodeNode(n *flow.Node, data []byte) ([]byte, error) {
+	if n.Envelope == nil {
 		res, err := flow.DecodeResult(data)
 		if err != nil {
 			return nil, err
 		}
 		return flow.EncodeResult(res)
 	}
-	v, err := decodeNode(name, data)
+	v, err := decodeArtifact(n, data)
 	if err != nil {
 		return nil, err
 	}

@@ -15,24 +15,23 @@ import (
 // proves that stage by stage. The whole-flow Config.Key is the report stage's
 // artifact ID, so the same proof covers it.
 //
-// Stage boundaries are declared in the pipeline function itself with anchor
-// directives on (or above) the first statement of each stage region:
+// The stages are the cases of one dispatch function, the body the flow's DAG
+// walk runs for every node, marked in its doc comment:
 //
-//	//tmi3dvet:stage synth
+//	//tmi3dvet:dispatch
+//	func dispatch(cfg Config, name string, in *inputs) (any, error) {
+//		switch name {
+//		case "synth":
+//			...
 //
-// The anchor names refine the flow profiler's prof.add stage vocabulary: a
-// region covers every top-level statement up to the next anchor, and regions
-// sharing a name (route runs twice) merge their read sets. From each region
-// the analyzer computes, transitively through same-package calls (including
-// Config methods like DeriveSeed and closures defined in the region):
+// Each case clause of its switch over stage-name constants is one stage's
+// region, named by its constant — the string the DAG and the manifest use.
+// From each region the analyzer computes, transitively through same-package
+// calls (including Config methods like DeriveSeed):
 //
 //   - the Config fields the stage reads — a bare use of a whole Config value
 //     (Result{Config: cfg}) reads every field;
-//   - the package-level variables it touches (ambient state);
-//   - the upstream artifacts it consumes: locals defined in an earlier stage
-//     (netlist, placement, seed, the gate closures). Artifacts need no key
-//     coverage — the upstream stage's artifact hash covers them, which is
-//     exactly the DAG the incremental cache will build.
+//   - the package-level variables it touches (ambient state).
 //
 // The Config read set is then diffed against the package's declarative
 // manifest, a package-level
@@ -41,11 +40,16 @@ import (
 //
 // (internal/flow/stagekeys.go): a field the stage reads but its key omits
 // would serve stale cached artifacts when that field changes; a dead key
-// field needlessly splits identical artifacts; an ambient read that is not
-// provably key-addressed-and-immutable (globalstate.go) cannot be covered by
-// any Config-derived key at all. The computed read sets are exported through
+// field needlessly splits identical artifacts into distinct cache entries; an
+// ambient read that is not provably key-addressed-and-immutable
+// (globalstate.go) cannot be covered by any Config-derived key at all. Two
+// rules keep every read inside a case: the dispatch may read its Config
+// parameter only within a stage case, and its other parameters — the
+// executor state it is handed — must hold no Config of their own. Everything
+// else a stage consumes is the value of a declared dep, which the walk
+// enforces at run time. The computed read sets are exported through
 // Pass.ExportStage so cmd/tmi3dvet -json can hand the measured dependency
-// surface to CI and the cache builder.
+// surface to CI.
 //
 // Soundness posture: same-package transitivity plus the globalmut contract on
 // the leaf packages. Cross-package callees (place.Run, sta.Analyze) cannot
@@ -59,29 +63,14 @@ var StageDeps = &Analyzer{
 	Run:  runStageDeps,
 }
 
-// StageReads is the computed read set of one stage of an anchored pipeline
-// function — the measured dependency surface a per-stage cache key must
-// cover.
+// StageReads is the computed read set of one stage of a dispatch function —
+// the measured dependency surface a per-stage cache key must cover.
 type StageReads struct {
 	Package      string   `json:"package"`
 	Func         string   `json:"func"`
 	Stage        string   `json:"stage"`
 	ConfigFields []string `json:"config_fields"`
 	Globals      []string `json:"globals,omitempty"`
-	Artifacts    []string `json:"artifacts,omitempty"`
-	// ArtifactSources maps each consumed artifact to the stage that defines
-	// it — the computed inter-stage dependency edges. The staged engine's
-	// declarative DAG (internal/stage) is tested against these: every edge
-	// here must lie inside the transitive closure of the DAG's Deps.
-	ArtifactSources map[string]string `json:"artifact_sources,omitempty"`
-}
-
-const stageDirective = "tmi3dvet:stage"
-
-type stageAnchor struct {
-	pos  token.Pos
-	name string
-	used bool
 }
 
 // stageManifest is the parsed StageKeys literal.
@@ -97,50 +86,27 @@ type manifestEntry struct {
 }
 
 func runStageDeps(p *Pass) {
-	anchorsByFile := map[*ast.File][]*stageAnchor{}
-	total := 0
+	var dispatches []*ast.FuncDecl
 	for _, f := range p.Pkg.Files {
-		as := collectStageAnchors(p, f)
-		anchorsByFile[f] = as
-		total += len(as)
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && isDispatch(fd) {
+				dispatches = append(dispatches, fd)
+			}
+		}
 	}
-	if total == 0 {
+	if len(dispatches) == 0 {
 		return
 	}
 	cfgType := findConfigType(p)
 	manifest := parseStageKeys(p)
 	if manifest == nil {
-		p.Reportf(firstAnchorPos(p, anchorsByFile), "package has //tmi3dvet:stage anchors but no StageKeys manifest: declare var StageKeys = map[string][]string{stage: {Config fields}} so the incremental cache has a per-stage key contract")
+		p.Reportf(dispatches[0].Name.Pos(), "package has a //tmi3dvet:dispatch function but no StageKeys manifest: declare var StageKeys = map[string][]string{stage: {Config fields}} so the incremental cache has a per-stage key contract")
 	}
 	sums := newEffects(p, cfgType)
 	gs := classifyGlobals(p)
 	sup := collectSuppressions(p, "global") // consult-only; globalmut owns the audit
-	for _, f := range p.Pkg.Files {
-		anchors := anchorsByFile[f]
-		if len(anchors) == 0 {
-			continue
-		}
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			var inBody []*stageAnchor
-			for _, a := range anchors {
-				if a.pos > fd.Body.Lbrace && a.pos < fd.Body.Rbrace {
-					inBody = append(inBody, a)
-				}
-			}
-			if len(inBody) == 0 {
-				continue
-			}
-			checkStagedFunc(p, fd, inBody, cfgType, manifest, sums, gs, sup)
-		}
-		for _, a := range anchors {
-			if !a.used && a.name != "" {
-				p.Reportf(a.pos, "//tmi3dvet:stage %s anchors no top-level statement of a function body: move it directly above the stage's first statement or delete it", a.name)
-			}
-		}
+	for _, fd := range dispatches {
+		checkDispatch(p, fd, cfgType, manifest, sums, gs, sup)
 	}
 	if manifest != nil {
 		names := make([]string, 0, len(manifest.entries))
@@ -150,43 +116,24 @@ func runStageDeps(p *Pass) {
 		sort.Strings(names)
 		for _, n := range names {
 			if e := manifest.entries[n]; !e.used {
-				p.Reportf(e.pos, "StageKeys entry %q matches no //tmi3dvet:stage anchor: dead manifest stage — delete it or anchor the stage", n)
+				p.Reportf(e.pos, "StageKeys entry %q matches no case of a //tmi3dvet:dispatch function: dead manifest stage — delete it or add the stage", n)
 			}
 		}
 	}
 }
 
-func collectStageAnchors(p *Pass, f *ast.File) []*stageAnchor {
-	var anchors []*stageAnchor
-	for _, cg := range f.Comments {
-		for _, c := range cg.List {
-			rest, ok := cutDirective(c, "stage")
-			if !ok {
-				continue
-			}
-			name := ""
-			if fields := strings.Fields(rest); len(fields) > 0 {
-				name = fields[0]
-			}
-			if name == "" {
-				p.Reportf(c.Pos(), "//tmi3dvet:stage anchor without a stage name — name the stage this region belongs to")
-			}
-			anchors = append(anchors, &stageAnchor{pos: c.Pos(), name: name})
+// isDispatch reports whether a function's doc comment carries the
+// //tmi3dvet:dispatch directive.
+func isDispatch(fd *ast.FuncDecl) bool {
+	if fd.Doc == nil {
+		return false
+	}
+	for _, c := range fd.Doc.List {
+		if _, ok := cutDirective(c, "dispatch"); ok {
+			return true
 		}
 	}
-	return anchors
-}
-
-func firstAnchorPos(p *Pass, byFile map[*ast.File][]*stageAnchor) token.Pos {
-	best := token.NoPos
-	for _, f := range p.Pkg.Files {
-		for _, a := range byFile[f] {
-			if best == token.NoPos || a.pos < best {
-				best = a.pos
-			}
-		}
-	}
-	return best
+	return false
 }
 
 // findConfigType resolves the package's Config named type, if any.
@@ -280,148 +227,189 @@ func constString(p *Pass, e ast.Expr) (string, bool) {
 	return constant.StringVal(tv.Value), true
 }
 
-// stageRegion is one contiguous anchored run of top-level statements.
-type stageRegion struct {
-	anchor *stageAnchor
-	stmts  []ast.Stmt
-}
-
-func (r *stageRegion) span() (token.Pos, token.Pos) {
-	if len(r.stmts) == 0 {
-		return r.anchor.pos, r.anchor.pos
-	}
-	return r.stmts[0].Pos(), r.stmts[len(r.stmts)-1].End()
-}
-
-// stageAccum merges the read sets of all regions sharing a stage name.
+// stageAccum collects one stage's read set.
 type stageAccum struct {
-	name      string
-	anchorPos token.Pos
-	fields    map[string]token.Pos // Config field -> first read position
-	globals   map[types.Object]token.Pos
-	artifacts map[string]string // consumed local -> defining stage
+	name    string
+	pos     token.Pos // the case constant
+	fields  map[string]token.Pos
+	globals map[types.Object]token.Pos
 }
 
-func checkStagedFunc(p *Pass, fd *ast.FuncDecl, anchors []*stageAnchor, cfgType *types.Named, manifest *stageManifest, sums *effects, gs *globalState, sup *suppressions) {
+func newStageAccum(name string, pos token.Pos) *stageAccum {
+	return &stageAccum{name: name, pos: pos, fields: map[string]token.Pos{}, globals: map[types.Object]token.Pos{}}
+}
+
+// stageCase is one case clause of the stage switch and the stage-name
+// constants it lists.
+type stageCase struct {
+	clause *ast.CaseClause
+	names  []ast.Expr
+}
+
+func checkDispatch(p *Pass, fd *ast.FuncDecl, cfgType *types.Named, manifest *stageManifest, sums *effects, gs *globalState, sup *suppressions) {
+	sw, cases := stageSwitch(p, fd)
+	if manifest != nil {
+		// Mark the named stages before any early return, so one malformed
+		// dispatch does not cascade into dead-manifest findings.
+		for _, sc := range cases {
+			for _, e := range sc.names {
+				name, _ := constString(p, e)
+				if entry := manifest.entries[name]; entry != nil {
+					entry.used = true
+				}
+			}
+		}
+	}
 	if cfgType == nil {
-		for _, a := range anchors {
-			a.used = true
-		}
-		p.Reportf(fd.Name.Pos(), "%s carries //tmi3dvet:stage anchors but the package declares no Config struct: stagedeps has no key domain to verify", fd.Name.Name)
+		p.Reportf(fd.Name.Pos(), "%s is a //tmi3dvet:dispatch function but the package declares no Config struct: stagedeps has no key domain to verify", fd.Name.Name)
 		return
 	}
-	cfgParam := configParam(p, fd, cfgType)
-	if cfgParam == nil {
-		for _, a := range anchors {
-			a.used = true
-		}
-		p.Reportf(fd.Name.Pos(), "%s carries //tmi3dvet:stage anchors but has no Config parameter: stagedeps cannot attribute reads to a key domain", fd.Name.Name)
+	if !checkDispatchParams(p, fd, cfgType) {
+		return
+	}
+	if sw == nil {
+		p.Reportf(fd.Name.Pos(), "%s is a //tmi3dvet:dispatch function without a switch over stage-name constants: each case names the stage it runs", fd.Name.Name)
 		return
 	}
 
-	// Map each anchor to the first top-level statement after it.
-	stmts := fd.Body.List
-	sort.Slice(anchors, func(i, j int) bool { return anchors[i].pos < anchors[j].pos })
-	startAnchor := map[int]*stageAnchor{}
-	for _, a := range anchors {
-		idx := -1
-		for i, st := range stmts {
-			if st.Pos() > a.pos {
-				idx = i
-				break
-			}
+	// Config reads outside every stage case belong to no stage key.
+	skip := map[ast.Node]bool{}
+	for _, sc := range cases {
+		if len(sc.names) > 0 {
+			skip[sc.clause] = true
 		}
-		if idx == -1 {
-			continue // dangling; reported by the caller via !used
-		}
-		if idx > 0 && a.pos < stmts[idx-1].End() {
-			a.used = true
-			if a.name != "" {
-				p.Reportf(a.pos, "//tmi3dvet:stage %s is nested inside a statement: anchors segment the top-level statements of %s, move it between stages", a.name, fd.Name.Name)
-			}
-			continue
-		}
-		a.used = true
-		if a.name == "" {
-			continue // bare anchor already reported at collect
-		}
-		if prev := startAnchor[idx]; prev != nil {
-			p.Reportf(a.pos, "duplicate //tmi3dvet:stage anchor: stage %q already starts at this statement (anchor %q)", a.name, prev.name)
-			continue
-		}
-		startAnchor[idx] = a
 	}
-
-	var regions []*stageRegion
-	var preceding []ast.Stmt
-	var cur *stageRegion
-	for i, st := range stmts {
-		if a := startAnchor[i]; a != nil {
-			cur = &stageRegion{anchor: a}
-			regions = append(regions, cur)
-		}
-		if cur == nil {
-			preceding = append(preceding, st)
-			continue
-		}
-		cur.stmts = append(cur.stmts, st)
-	}
-	if len(preceding) > 0 {
-		p.Reportf(preceding[0].Pos(), "%d statement(s) precede the first //tmi3dvet:stage anchor in %s: every statement must belong to a named stage for the per-stage keys to be exhaustive", len(preceding), fd.Name.Name)
-	}
-
-	// Scan each region, then merge by stage name.
-	accums := map[string]*stageAccum{}
-	var order []string
-	for _, r := range regions {
-		acc := accums[r.anchor.name]
-		if acc == nil {
-			acc = &stageAccum{
-				name:      r.anchor.name,
-				anchorPos: r.anchor.pos,
-				fields:    map[string]token.Pos{},
-				globals:   map[types.Object]token.Pos{},
-				artifacts: map[string]string{},
-			}
-			accums[r.anchor.name] = acc
-			order = append(order, r.anchor.name)
-		}
-		scanStageRegion(p, sums, cfgType, fd, regions, r, acc)
+	outside := newStageAccum("", fd.Pos())
+	scanReads(p, sums, cfgType, fd.Body, skip, outside)
+	for _, f := range sortedKeys(outside.fields) {
+		p.Reportf(outside.fields[f], "%s reads Config.%s outside a stage case: no stage key covers it — move the read into the case of the stage that needs it", fd.Name.Name, f)
 	}
 
 	fieldSet := configFieldSet(cfgType)
-	for _, name := range order {
-		acc := accums[name]
-		reportStage(p, manifest, fieldSet, acc, gs, sup)
-		sources := make(map[string]string, len(acc.artifacts))
-		for a, src := range acc.artifacts {
-			sources[a] = src
+	for _, sc := range cases {
+		for _, e := range sc.names {
+			name, _ := constString(p, e)
+			acc := newStageAccum(name, e.Pos())
+			for _, st := range sc.clause.Body {
+				scanReads(p, sums, cfgType, st, nil, acc)
+			}
+			reportStage(p, manifest, fieldSet, acc, gs, sup)
+			p.ExportStage(StageReads{
+				Package:      p.Pkg.Path,
+				Func:         fd.Name.Name,
+				Stage:        acc.name,
+				ConfigFields: sortedKeys(acc.fields),
+				Globals:      sortedGlobalNames(acc.globals),
+			})
 		}
-		p.ExportStage(StageReads{
-			Package:         p.Pkg.Path,
-			Func:            fd.Name.Name,
-			Stage:           name,
-			ConfigFields:    sortedKeys(acc.fields),
-			Globals:         sortedGlobalNames(acc.globals),
-			Artifacts:       sortedStringMapKeys(acc.artifacts),
-			ArtifactSources: sources,
-		})
 	}
 }
 
-func configParam(p *Pass, fd *ast.FuncDecl, cfgType *types.Named) *types.Var {
-	if fd.Type.Params == nil {
-		return nil
+// stageSwitch finds the dispatch's switch over stage-name constants — the
+// first expression switch whose cases are string constants — and its cases.
+// A non-constant case expression is reported; a default clause names no
+// stage, so reads there count as outside every case.
+func stageSwitch(p *Pass, fd *ast.FuncDecl) (*ast.SwitchStmt, []stageCase) {
+	var sw *ast.SwitchStmt
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		s, ok := n.(*ast.SwitchStmt)
+		if !ok || sw != nil {
+			return sw == nil
+		}
+		for _, stmt := range s.Body.List {
+			if cc := stmt.(*ast.CaseClause); len(cc.List) > 0 {
+				if _, ok := constString(p, cc.List[0]); ok {
+					sw = s
+					return false
+				}
+			}
+		}
+		return true
+	})
+	if sw == nil {
+		return nil, nil
 	}
-	for _, fld := range fd.Type.Params.List {
+	var cases []stageCase
+	for _, stmt := range sw.Body.List {
+		cc := stmt.(*ast.CaseClause)
+		sc := stageCase{clause: cc}
+		for _, e := range cc.List {
+			if _, ok := constString(p, e); !ok {
+				p.Reportf(e.Pos(), "stage case in %s is not a string constant: name each stage as the DAG and StageKeys do", fd.Name.Name)
+				continue
+			}
+			sc.names = append(sc.names, e)
+		}
+		cases = append(cases, sc)
+	}
+	return sw, cases
+}
+
+// checkDispatchParams requires exactly one Config parameter and no Config
+// held by any other parameter or the receiver: the executor state a dispatch
+// is handed must not carry a second route to the config, past the per-case
+// attribution. It reports false when the dispatch has no Config parameter.
+func checkDispatchParams(p *Pass, fd *ast.FuncDecl, cfgType *types.Named) bool {
+	var fields []*ast.Field
+	if fd.Recv != nil {
+		fields = append(fields, fd.Recv.List...)
+	}
+	fields = append(fields, fd.Type.Params.List...)
+	haveCfg := false
+	for _, fld := range fields {
 		for _, nm := range fld.Names {
 			v, ok := p.Pkg.Info.Defs[nm].(*types.Var)
-			if ok && derefType(v.Type()) == cfgType {
-				return v
+			if !ok {
+				continue
+			}
+			if derefType(v.Type()) == cfgType && !haveCfg {
+				haveCfg = true
+				continue
+			}
+			if path := configHolder(v.Type(), cfgType, map[types.Type]bool{}); path != "" {
+				p.Reportf(nm.Pos(), "%s's executor state %s%s holds a Config besides the dispatch's Config parameter: a stage reading it escapes its stage key — pass the config only as that parameter", fd.Name.Name, nm.Name, path)
 			}
 		}
 	}
-	return nil
+	if !haveCfg {
+		p.Reportf(fd.Name.Pos(), "%s is a //tmi3dvet:dispatch function but has no Config parameter: stagedeps cannot attribute reads to a key domain", fd.Name.Name)
+	}
+	return haveCfg
+}
+
+// configHolder returns the access path to a Config held by a value of type t
+// — itself, or through pointers, struct fields, and element types — or "".
+func configHolder(t types.Type, cfgType *types.Named, seen map[types.Type]bool) string {
+	if seen[t] {
+		return ""
+	}
+	seen[t] = true
+	if t == cfgType {
+		return " (a Config)"
+	}
+	switch u := t.(type) {
+	case *types.Named:
+		return configHolder(u.Underlying(), cfgType, seen)
+	case *types.Pointer:
+		return configHolder(u.Elem(), cfgType, seen)
+	case *types.Slice:
+		return configHolder(u.Elem(), cfgType, seen)
+	case *types.Array:
+		return configHolder(u.Elem(), cfgType, seen)
+	case *types.Map:
+		return configHolder(u.Elem(), cfgType, seen)
+	case *types.Struct:
+		for i := 0; i < u.NumFields(); i++ {
+			f := u.Field(i)
+			if derefType(f.Type()) == cfgType {
+				return "." + f.Name()
+			}
+			if sub := configHolder(f.Type(), cfgType, seen); sub != "" {
+				return "." + f.Name() + sub
+			}
+		}
+	}
+	return ""
 }
 
 func configFieldSet(cfgType *types.Named) map[string]bool {
@@ -439,7 +427,7 @@ func reportStage(p *Pass, manifest *stageManifest, fieldSet map[string]bool, acc
 	if manifest != nil {
 		entry := manifest.entries[acc.name]
 		if entry == nil {
-			p.Reportf(acc.anchorPos, "stage %q has no StageKeys entry: the incremental cache cannot key this stage — add StageKeys[%q] covering %s", acc.name, acc.name, fieldList(sortedKeys(acc.fields)))
+			p.Reportf(acc.pos, "stage %q has no StageKeys entry: the incremental cache cannot key this stage — add StageKeys[%q] covering %s", acc.name, acc.name, fieldList(sortedKeys(acc.fields)))
 		} else {
 			entry.used = true
 			for _, f := range sortedKeys(acc.fields) {
@@ -485,11 +473,10 @@ func fieldList(fields []string) string {
 	return "[" + strings.Join(fields, " ") + "]"
 }
 
-// scanStageRegion walks one region's statements, attributing Config field
-// reads (direct, transitive through same-package calls, and whole-Config
-// uses), global touches, and cross-stage artifact uses to the accumulator.
-func scanStageRegion(p *Pass, sums *effects, cfgType *types.Named, fd *ast.FuncDecl, regions []*stageRegion, r *stageRegion, acc *stageAccum) {
-	lo, hi := r.span()
+// scanReads attributes the Config field reads (direct, transitive through
+// same-package calls, and whole-Config uses) and global touches under root to
+// acc, skipping the subtrees in skip.
+func scanReads(p *Pass, sums *effects, cfgType *types.Named, root ast.Node, skip map[ast.Node]bool, acc *stageAccum) {
 	addField := func(name string, pos token.Pos) {
 		if _, ok := acc.fields[name]; !ok {
 			acc.fields[name] = pos
@@ -506,84 +493,58 @@ func scanStageRegion(p *Pass, sums *effects, cfgType *types.Named, fd *ast.FuncD
 			acc.globals[obj] = pos
 		}
 	}
-	regionName := func(pos token.Pos) (string, bool) {
-		for _, reg := range regions {
-			rlo, rhi := reg.span()
-			if pos >= rlo && pos < rhi {
-				return reg.anchor.name, true
+	pkgScope := p.Pkg.Types.Scope()
+	// Idents used as a selector base are judged at the selector; a bare
+	// Config-typed use elsewhere reads the whole struct.
+	selBases := map[*ast.Ident]bool{}
+	ast.Inspect(root, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			if id, ok := sel.X.(*ast.Ident); ok {
+				selBases[id] = true
 			}
 		}
-		return "", false
-	}
-	pkgScope := p.Pkg.Types.Scope()
-	for _, st := range r.stmts {
-		// Idents used as a selector base are judged at the selector; a bare
-		// Config-typed use elsewhere reads the whole struct.
-		selBases := map[*ast.Ident]bool{}
-		ast.Inspect(st, func(n ast.Node) bool {
-			if sel, ok := n.(*ast.SelectorExpr); ok {
-				if id, ok := sel.X.(*ast.Ident); ok {
-					selBases[id] = true
+		return true
+	})
+	ast.Inspect(root, func(n ast.Node) bool {
+		if skip[n] {
+			return false
+		}
+		switch n := n.(type) {
+		case *ast.SelectorExpr:
+			if sel := p.Pkg.Info.Selections[n]; sel != nil {
+				if f, ok := sel.Obj().(*types.Var); ok && f.IsField() && fieldOfConfig(cfgType, f) {
+					addField(f.Name(), n.Pos())
 				}
 			}
-			return true
-		})
-		ast.Inspect(st, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if sel := p.Pkg.Info.Selections[n]; sel != nil {
-					if f, ok := sel.Obj().(*types.Var); ok && f.IsField() && fieldOfConfig(cfgType, f) {
-						addField(f.Name(), n.Pos())
+		case *ast.CallExpr:
+			if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
+				if sum := sums.summarize(callee); sum != nil {
+					if sum.allFields {
+						addAll(n.Pos())
 					}
-				}
-			case *ast.CallExpr:
-				if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
-					sum := sums.summarize(callee)
-					if sum != nil {
-						if sum.allFields {
-							addAll(n.Pos())
-						}
-						for _, fname := range sortedBoolKeys(sum.fields) {
-							addField(fname, n.Pos())
-						}
-						for _, obj := range sortedGlobalObjs(sum.globals) {
-							addGlobal(obj, n.Pos())
-						}
+					for _, fname := range sortedBoolKeys(sum.fields) {
+						addField(fname, n.Pos())
 					}
-				}
-			case *ast.Ident:
-				obj := p.Pkg.Info.Uses[n]
-				if obj == nil {
-					return true
-				}
-				v, ok := obj.(*types.Var)
-				if !ok {
-					return true
-				}
-				switch {
-				case v.Parent() == pkgScope:
-					addGlobal(v, n.Pos())
-				case derefType(v.Type()) == cfgType && !selBases[n]:
-					// Whole-Config use: copies every field.
-					addAll(n.Pos())
-				case v.Pos() > fd.Body.Lbrace && v.Pos() < fd.Body.Rbrace && (v.Pos() < lo || v.Pos() >= hi):
-					// Defined in the staged function but outside this region:
-					// an artifact of another stage (unless that stage shares
-					// our name — a stage split across regions is one stage).
-					// Error-typed locals are control flow, not artifacts: the
-					// shared err variable would otherwise fabricate an edge
-					// from every stage to the first one that declares it.
-					if types.Identical(v.Type(), types.Universe.Lookup("error").Type()) {
-						return true
-					}
-					if defStage, ok := regionName(v.Pos()); ok && defStage != acc.name {
-						acc.artifacts[v.Name()] = defStage
+					for _, obj := range sortedGlobalObjs(sum.globals) {
+						addGlobal(obj, n.Pos())
 					}
 				}
 			}
-			return true
-		})
-	}
+		case *ast.Ident:
+			v, ok := p.Pkg.Info.Uses[n].(*types.Var)
+			if !ok {
+				return true
+			}
+			switch {
+			case v.Parent() == pkgScope:
+				addGlobal(v, n.Pos())
+			case derefType(v.Type()) == cfgType && !selBases[n]:
+				// Whole-Config use: copies every field.
+				addAll(n.Pos())
+			}
+		}
+		return true
+	})
 }
 
 func fieldOfConfig(cfgType *types.Named, f *types.Var) bool {
@@ -597,15 +558,6 @@ func fieldOfConfig(cfgType *types.Named, f *types.Var) bool {
 }
 
 func sortedKeys(m map[string]token.Pos) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedStringMapKeys(m map[string]string) []string {
 	out := make([]string, 0, len(m))
 	for k := range m {
 		out = append(out, k)

@@ -1,10 +1,11 @@
-// Package fixture seeds stagedeps violations around an anchored pipeline
-// whose StageKeys manifest deliberately drifts from the measured read sets:
-// an uncovered field read, a dead key field, an unknown field name, a stage
-// missing from the manifest, a dead manifest stage, malformed anchors (bare,
-// nested, duplicate, dangling), statements before the first anchor, an
-// ambient mutable-state read, and a function anchored without a Config
-// parameter. Expected diagnostics live in expect.txt.
+// Package fixture seeds stagedeps violations around a dispatch function whose
+// StageKeys manifest deliberately drifts from the measured read sets: an
+// uncovered field read, a dead key field, an unknown field name, a stage
+// missing from the manifest, a dead manifest stage, Config reads outside
+// every stage case (before the switch and in its default clause), an ambient
+// mutable-state read, executor state carrying a second Config, and a
+// dispatch without a Config parameter. Expected diagnostics live in
+// expect.txt.
 package fixture
 
 // Config mirrors the flow.Config shape at small scale.
@@ -15,7 +16,7 @@ type Config struct {
 	Util    float64
 }
 
-// StageKeys drifts from the pipeline below on purpose.
+// StageKeys drifts from the dispatch below on purpose.
 var StageKeys = map[string][]string{
 	"load":  {"Circuit", "Scale"}, // Scale is a seeded dead key field
 	"build": {"Mode"},             // the Util read is seeded uncovered
@@ -37,38 +38,63 @@ func (c Config) modeCode() int { return c.Mode }
 
 func seedOf(c Config) int { return len(c.Circuit) + c.modeCode() }
 
-func Pipeline(cfg Config) int {
-	setupX := 1 // seeded: a statement before the first anchor
+// inputs are the dep values a stage receives; they hold no Config.
+type inputs struct {
+	vals map[string]int
+}
 
-	//tmi3dvet:stage load
-	//tmi3dvet:stage dup
-	a := cfg.Circuit
-	//tmi3dvet:stage
-	aa := len(a)
-
-	//tmi3dvet:stage build
-	b := cfg.modeCode()
-	c := int(cfg.Util)
-	counter++ // seeded: ambient mutable state touched inside a staged region
-	//tmi3dvet:global fixture: observational hit counter, reset between runs
-	hits++
-
-	//tmi3dvet:stage emit
-	d := aa + b + c + setupX + table[0]
-	if cfg.Scale > 0 {
-		//tmi3dvet:stage inner
-		d++
+// Pipeline runs one stage per case.
+//
+//tmi3dvet:dispatch
+func Pipeline(cfg Config, name string, in *inputs) int {
+	if cfg.Mode < 0 { // seeded: a Config read outside every stage case
+		return 0
 	}
-
-	//tmi3dvet:stage unmapped
-	e := d + seedOf(cfg)
-	return e
-	//tmi3dvet:stage ghost2
+	switch name {
+	case "load":
+		return len(cfg.Circuit)
+	case "build":
+		counter++ // seeded: ambient mutable state touched inside a stage case
+		//tmi3dvet:global fixture: observational hit counter, reset between runs
+		hits++
+		return cfg.modeCode() + int(cfg.Util) + in.vals["load"]
+	case "emit":
+		if cfg.Scale > 0 {
+			return in.vals["build"] + table[0]
+		}
+		return 0
+	case "unmapped":
+		return in.vals["emit"] + seedOf(cfg)
+	default:
+		return int(cfg.Util) // seeded: the default clause names no stage
+	}
 }
 
-func orphan() int {
-	//tmi3dvet:stage lost
-	return 1
+// state smuggles a second Config to the stages.
+type state struct {
+	raw *Config
 }
 
-var _ = orphan
+// leaky hands its stages executor state that carries a Config.
+//
+//tmi3dvet:dispatch
+func leaky(cfg Config, name string, st state) int {
+	switch name {
+	case "load":
+		return len(cfg.Circuit)
+	}
+	return 0
+}
+
+// orphan is a dispatch with no config to attribute reads to.
+//
+//tmi3dvet:dispatch
+func orphan(name string) int {
+	switch name {
+	case "lost":
+		return 1
+	}
+	return 0
+}
+
+var _, _ = leaky, orphan

@@ -15,13 +15,13 @@
 //     serve job-table / metrics-registry AB-BA inversion of PR 4).
 //   - seedpurity: wall-clock or global-RNG inputs inside flow-deterministic
 //     packages, which must derive randomness from flow.Config.DeriveSeed.
-//   - stagedeps: per-stage Config read sets in the anchored flow.Run pipeline
-//     diffed against the declarative StageKeys manifest — the soundness proof
-//     for the per-stage artifact cache: a stage that reads a Config field its
-//     key omits would serve stale cached artifacts. Config.Key is the report
-//     stage's artifact ID, and the report region reads the whole Config, so
-//     this also proves the whole-flow key complete (the ClockPs precision
-//     collision that once poisoned the flow cache).
+//   - stagedeps: per-stage Config read sets in the cases of flow's DAG
+//     dispatch function diffed against the declarative StageKeys manifest —
+//     the soundness proof for the per-stage artifact cache: a stage that
+//     reads a Config field its key omits would serve stale cached artifacts.
+//     Config.Key is the report stage's artifact ID, and the report case reads
+//     the whole Config, so this also proves the whole-flow key complete (the
+//     ClockPs precision collision that once poisoned the flow cache).
 //   - globalmut: reads or writes of mutable package-level state outside the
 //     key-addressed sync.Once cache shape (liberty.Default, flow.generated) —
 //     the class where a cache entry mutated after publication silently
@@ -245,7 +245,7 @@ func ExprString(e ast.Expr) string {
 
 // Result is one full analysis over a module: the findings plus the stage
 // facts stagedeps computed along the way (the measured per-stage dependency
-// surface the incremental flow cache will consume) and the anchored-loop
+// surface the staged engine's keys must cover) and the anchored-loop
 // effect sets parsafe computed (the parallelism green board of ROADMAP
 // item 3).
 type Result struct {

@@ -117,12 +117,10 @@ func TestStageDepsFixture(t *testing.T) {
 		"not a field of Config",
 		"has no StageKeys entry",
 		"dead manifest stage",
-		// Anchor discipline classes.
-		"anchor without a stage name",
-		"duplicate //tmi3dvet:stage anchor",
-		"is nested inside a statement",
-		"anchors no top-level statement",
-		"precede the first //tmi3dvet:stage anchor",
+		// Dispatch discipline classes.
+		"reads Config.Mode outside a stage case",
+		"reads Config.Util outside a stage case",
+		"holds a Config besides the dispatch's Config parameter",
 		"no Config parameter",
 		// Ambient-state class.
 		"ambient package state counter",
@@ -181,14 +179,10 @@ func TestStageFacts(t *testing.T) {
 	if sr := byStage["build"]; !contains(sr.Globals, "counter") || !contains(sr.Globals, "hits") {
 		t.Errorf("build stage globals = %v, want counter and hits", sr.Globals)
 	}
-	if sr := byStage["unmapped"]; !contains(sr.Artifacts, "d") {
-		t.Errorf("unmapped stage artifacts = %v, want the cross-stage local d", sr.Artifacts)
-	}
-	// setupX is deliberately absent: pre-anchor statements belong to no
-	// stage, so their locals are not artifact edges (and the pre-anchor
-	// diagnostic already demands they be staged).
-	if sr := byStage["emit"]; !contains(sr.Artifacts, "aa") || !contains(sr.Artifacts, "b") {
-		t.Errorf("emit stage artifacts = %v, want upstream locals aa and b", sr.Artifacts)
+	// The reads before the switch and in its default clause belong to no
+	// stage: "load" reads Circuit alone although the prologue reads Mode.
+	if len(byStage) != len(want) {
+		t.Errorf("exported stages %v, want exactly %d", byStage, len(want))
 	}
 }
 
@@ -272,8 +266,8 @@ func TestDeterministicList(t *testing.T) {
 
 // TestRepoClean is the self-application gate: the full analyzer suite —
 // including stagedeps and globalmut — over the real module must report
-// nothing, and stagedeps must actually have verified flow.Run's anchored
-// stages against the StageKeys manifest (an empty stage export would mean
+// nothing, and stagedeps must actually have verified the cases of flow's
+// dispatch function against the StageKeys manifest (an empty stage export would mean
 // the proof silently stopped running). This is the same contract
 // scripts/check.sh enforces via cmd/tmi3dvet.
 func TestRepoClean(t *testing.T) {
@@ -290,7 +284,7 @@ func TestRepoClean(t *testing.T) {
 	}
 	stages := map[string]bool{}
 	for _, sr := range res.Stages {
-		if strings.HasSuffix(sr.Package, "internal/flow") && sr.Func == "Run" {
+		if strings.HasSuffix(sr.Package, "internal/flow") && sr.Func == "dispatch" {
 			stages[sr.Stage] = true
 		}
 	}
@@ -299,7 +293,7 @@ func TestRepoClean(t *testing.T) {
 		"place", "opt", "route", "signoff", "power", "report",
 	} {
 		if !stages[want] {
-			t.Errorf("flow.Run stage %q missing from the stagedeps export", want)
+			t.Errorf("flow dispatch stage %q missing from the stagedeps export", want)
 		}
 	}
 	// Every flow.ParLoops entry must have resolved to an anchored loop with

@@ -97,27 +97,54 @@ for procs in 2 8; do
 done
 
 stage staged-identity
-# The staged flow engine's contract: byte-identical to the monolithic flow at
-# any cache state. Run a 3-point clock sweep monolithically, then staged with
-# a cold artifact store, then staged again fully warm (the second pass
-# executes no stage bodies at all), and diff report + Verilog + DEF per point.
+# The staged flow engine's contract: one DAG walk, and cache state never
+# changes bytes. Run a 3-point clock sweep with no artifact cache, then
+# through the cache with a cold store, fully warm (no stage bodies run at
+# all), and partially warm (every report and power entry deleted from the
+# warm store), then two cached processes at once on a fresh store; diff
+# report + Verilog + DEF per point against the no-cache run.
 go build -o "$pdir/tmi3d" ./cmd/tmi3d
+staged() { # <clock> <store> <output prefix>
+    "$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock "$1" -byfunc \
+        -stagecache "$2" -dump "$3" >"$3.txt" 2>/dev/null
+}
+same_as_nocache() { # <clock> <output prefix> <label>
+    for f in txt v def; do
+        if ! diff -u "$pdir/nocache$1.$f" "$2.$f"; then
+            echo "staged ($3, clock $1) .$f output differs from the no-cache run" >&2
+            exit 1
+        fi
+    done
+}
 for clk in 0 2000 2400; do
     "$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock "$clk" -byfunc \
-        -dump "$pdir/mono$clk" >"$pdir/mono$clk.txt" 2>/dev/null
+        -dump "$pdir/nocache$clk" >"$pdir/nocache$clk.txt" 2>/dev/null
 done
-for pass in cold warm; do
-    for clk in 0 2000 2400; do
-        "$pdir/tmi3d" -circuit FPU -scale 0.1 -mode tmi -clock "$clk" -byfunc \
-            -stagecache "$pdir/stagecache" \
-            -dump "$pdir/$pass$clk" >"$pdir/$pass$clk.txt" 2>/dev/null
-        for f in txt v def; do
-            if ! diff -u "$pdir/mono$clk.$f" "$pdir/$pass$clk.$f"; then
-                echo "staged ($pass, clock $clk) .$f output differs from monolithic" >&2
-                exit 1
+for pass in cold warm partial; do
+    if [ "$pass" = partial ]; then
+        removed=0
+        for f in "$pdir"/stagecache/*/*.entry; do
+            if head -n 1 "$f" | grep -qE '"key":"stage\|(report|power)\|'; then
+                rm "$f"
+                removed=$((removed + 1))
             fi
         done
+        if [ "$removed" -ne 6 ]; then
+            echo "partial pass removed $removed report/power entries, want 6" >&2
+            exit 1
+        fi
+    fi
+    for clk in 0 2000 2400; do
+        staged "$clk" "$pdir/stagecache" "$pdir/$pass$clk"
+        same_as_nocache "$clk" "$pdir/$pass$clk" "$pass"
     done
+done
+staged 2000 "$pdir/sharedcache" "$pdir/shared2000" &
+shared_pid=$!
+staged 2400 "$pdir/sharedcache" "$pdir/shared2400"
+wait "$shared_pid"
+for clk in 2000 2400; do
+    same_as_nocache "$clk" "$pdir/shared$clk" "concurrent"
 done
 
 stage wire-identity
