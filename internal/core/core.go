@@ -12,22 +12,24 @@ import (
 	"time"
 
 	"tmi3d/internal/flow"
-	"tmi3d/internal/power"
 	"tmi3d/internal/report"
+	"tmi3d/internal/stage"
 	"tmi3d/internal/tech"
 )
 
 // Study runs the paper's experiments at a chosen circuit scale (1.0 = the
 // paper's full benchmark sizes; smaller scales keep every relationship while
-// trimming wall-clock time). Flow results are cached and shared between
-// experiments, exactly as the paper reuses its base layouts.
+// trimming wall-clock time). Flows run through one memory-only stage engine,
+// whose cache shares them between experiments, exactly as the paper reuses its
+// base layouts: a repeated config is served its report, a sweep point re-runs
+// only the stages its change dirties.
 //
-// A Study is safe for concurrent use. Identical configurations are
-// deduplicated singleflight-style: concurrent callers of the same config
-// block on one flow.Run, while distinct configs proceed in parallel. The
-// experiment matrix fans out through RunAll/Pairs over a bounded worker
-// pool, and because every flow's randomness derives purely from its config
-// (flow.Config.DeriveSeed), parallel execution is bit-identical to serial.
+// A Study is safe for concurrent use: concurrent callers of one config wait
+// on the engine's single execution of it, while distinct configs proceed in
+// parallel. The experiment matrix fans out through RunAll/Pairs over a
+// bounded worker pool, and because every flow's randomness derives purely
+// from its config (flow.Config.DeriveSeed), parallel execution is
+// bit-identical to serial.
 type Study struct {
 	Scale float64
 	Seed  uint64
@@ -39,19 +41,14 @@ type Study struct {
 	// flow pool so pool × intra never oversubscribes the machine. Results
 	// are byte-identical at any value.
 	IntraWorkers int
-	// Runner, when set, replaces flow.Run as the flow executor. The staged
-	// engine's Run plugs in here (byte-identical by contract), so an
-	// experiment matrix reuses per-stage artifacts across its sweep points
-	// instead of only deduplicating whole-flow repeats; tests plug in stubs.
-	// Set before first use.
+	// Runner is the flow executor. NewStudy sets it to EngineRunner over a
+	// memory-only engine; the daemon plugs in its own engine, benchmarks and
+	// tests plug in flow.Run or stubs. Any runner must return flow.Run's
+	// payload for the config. Set before first use.
 	Runner func(flow.Config) (*flow.Result, error)
 
-	mu       sync.Mutex
-	cache    map[string]*flow.Result
-	inflight map[string]*inflightRun
-
-	// Per-stage wall-clock totals across every flow this study executed
-	// (cache hits and deduplicated waiters excluded) — the profile behind
+	// Per-stage wall-clock totals across every run that executed a stage
+	// body (runs served whole from the cache excluded) — the profile behind
 	// StageReport.
 	stageMu      sync.Mutex
 	stageTotals  map[string]time.Duration
@@ -60,25 +57,35 @@ type Study struct {
 	flowsRun     int
 }
 
-// inflightRun is one in-progress flow execution; latecomers for the same key
-// wait on done instead of launching a duplicate run (cache stampede fix).
-type inflightRun struct {
-	done chan struct{}
-	res  *flow.Result
-	err  error
-}
-
 // NewStudy creates a study at the given scale.
 func NewStudy(scale float64) *Study {
 	if scale <= 0 {
 		scale = 1.0
 	}
+	e, _ := stage.New("") // no store: cannot fail
 	return &Study{
 		Scale:        scale,
-		cache:        map[string]*flow.Result{},
-		inflight:     map[string]*inflightRun{},
+		Runner:       EngineRunner(e),
 		stageTotals:  map[string]time.Duration{},
 		stageWorkers: map[string]int{},
+	}
+}
+
+// EngineRunner is the Study.Runner over a stage engine: the engine's report
+// artifact for the config, decoded, with the run's stage profile attached.
+// Its results carry no Design or Placement.
+func EngineRunner(e *stage.Engine) func(flow.Config) (*flow.Result, error) {
+	return func(cfg flow.Config) (*flow.Result, error) {
+		data, stats, err := e.Report(cfg)
+		if err != nil {
+			return nil, err
+		}
+		res, err := flow.DecodeResult(data)
+		if err != nil {
+			return nil, err
+		}
+		res.StageTimes = stats.StageTimes
+		return res, nil
 	}
 }
 
@@ -103,70 +110,25 @@ func (s *Study) intraWorkers() int {
 	return n
 }
 
-// run executes (or retrieves) one flow configuration. The cache key is the
-// canonical full-precision flow.Config.Key — every result-affecting field
-// participates, so sweep points separated by less than a rounding unit (the
-// old %.0f ClockPs key collided Fig 4 points under 1 ps apart) stay
-// distinct. The check and the run are bridged by an inflight map: the first
-// caller of a key executes, every concurrent caller of the same key waits
-// for that single execution. A panicking runner still retires the inflight
-// entry: waiters get an error, the panic continues up the executing caller's
-// stack, and the next call retries.
+// run executes one flow configuration at the study's scale, seed and worker
+// budget. Workers is never a key field (flow.KeyFields): any budget produces
+// identical bytes, so runs at different worker counts share cache entries.
 func (s *Study) run(cfg flow.Config) (*flow.Result, error) {
 	cfg.Scale = s.Scale
 	cfg.Seed = s.Seed
 	cfg.Workers = s.intraWorkers()
-	// Workers is never a key field (flow.KeyFields): any budget produces
-	// identical bytes, so runs at different worker counts share cache entries.
-	key := cfg.Key()
-
-	s.mu.Lock()
-	if r, ok := s.cache[key]; ok {
-		s.mu.Unlock()
-		return r, nil
+	res, err := s.Runner(cfg)
+	if err == nil && len(res.StageTimes) > 0 {
+		s.recordStages(res)
 	}
-	if f, ok := s.inflight[key]; ok {
-		s.mu.Unlock()
-		<-f.done
-		return f.res, f.err
-	}
-	f := &inflightRun{done: make(chan struct{})}
-	s.inflight[key] = f
-	s.mu.Unlock()
-
-	runner := s.Runner
-	if runner == nil {
-		runner = flow.Run
-	}
-	panicked := true
-	defer func() {
-		if panicked {
-			f.res, f.err = nil, fmt.Errorf("core: flow %s panicked", key)
-		}
-		s.mu.Lock()
-		if f.err == nil {
-			s.cache[key] = f.res
-		}
-		// Errors are delivered to every waiter of this round but not cached:
-		// a later call gets a fresh attempt.
-		delete(s.inflight, key)
-		s.mu.Unlock()
-		close(f.done)
-	}()
-	f.res, f.err = runner(cfg)
-	panicked = false
-
-	if f.err == nil {
-		s.recordStages(f.res)
-	}
-	return f.res, f.err
+	return res, err
 }
 
 // RunAll executes every configuration across a worker pool of s.Workers
 // (GOMAXPROCS when zero) and returns results in input order. Duplicate
-// configs in cfgs are deduplicated by the inflight map and share one
-// execution. On failure the error of the lowest-index failing config is
-// returned, so the error is deterministic under any scheduling.
+// configs in cfgs share one execution through the runner's engine. On
+// failure the error of the lowest-index failing config is returned, so the
+// error is deterministic under any scheduling.
 func (s *Study) RunAll(cfgs []flow.Config) ([]*flow.Result, error) {
 	res := make([]*flow.Result, len(cfgs))
 	errs := make([]error, len(cfgs))
@@ -220,8 +182,8 @@ func (s *Study) Pair(circuit string, node tech.Node) (d2, d3 *flow.Result, err e
 	return pairs[0][0], pairs[0][1], nil
 }
 
-// recordStages folds one completed flow's stage profile into the study
-// totals.
+// recordStages folds the stage profile of one run that executed stage bodies
+// into the study totals.
 func (s *Study) recordStages(r *flow.Result) {
 	s.stageMu.Lock()
 	defer s.stageMu.Unlock()
@@ -237,8 +199,8 @@ func (s *Study) recordStages(r *flow.Result) {
 	}
 }
 
-// FlowsRun reports how many flows this study actually executed (cache hits
-// and deduplicated concurrent callers do not count).
+// FlowsRun reports how many runs executed at least one stage body: runs
+// served whole from the cache, concurrent waiters included, do not count.
 func (s *Study) FlowsRun() int {
 	s.stageMu.Lock()
 	defer s.stageMu.Unlock()
@@ -284,5 +246,3 @@ func pct(a, b float64) float64 {
 	}
 	return (b - a) / a * 100
 }
-
-var _ = power.DefaultActivities // referenced by experiment files

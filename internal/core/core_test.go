@@ -8,7 +8,7 @@ import (
 )
 
 // Core tests run at a small scale; the relationships under test hold at any
-// scale while the harness stays fast. The study is shared so its flow cache
+// scale while the harness stays fast. The study is shared so its engine
 // serves every test.
 var sharedStudy = NewStudy(0.12)
 

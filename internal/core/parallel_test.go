@@ -1,85 +1,89 @@
 package core
 
 // Tests for the parallel experiment engine: cache-key precision, stampede
-// (singleflight) dedup, deterministic fan-out, and the serial/parallel
-// bit-identity contract.
+// (singleflight) dedup, error and panic release — all on the stage engine the
+// study runs on — deterministic fan-out, and the serial/parallel bit-identity
+// contract.
 
 import (
-	"errors"
+	"bytes"
 	"fmt"
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
 	"tmi3d/internal/flow"
 	"tmi3d/internal/report"
+	"tmi3d/internal/stage"
 	"tmi3d/internal/tech"
 )
 
-// stubStudy returns a study whose flow executor is replaced by a counting
-// stub, so cache semantics are testable without multi-second flows.
-func stubStudy(runner func(flow.Config) (*flow.Result, error)) (*Study, *int64) {
-	s := NewStudy(0.1)
-	var calls int64
-	s.Runner = func(cfg flow.Config) (*flow.Result, error) {
-		atomic.AddInt64(&calls, 1)
-		return runner(cfg)
+// engineStudy returns a study on the default runner over an engine the test
+// can read the counters of, at the smallest scale the golden tests pin.
+func engineStudy(t *testing.T) (*Study, *stage.Engine) {
+	t.Helper()
+	e, err := stage.New("")
+	if err != nil {
+		t.Fatal(err)
 	}
-	return s, &calls
+	s := NewStudy(0.05)
+	s.Runner = EngineRunner(e)
+	return s, e
+}
+
+// reportExecs counts the report bodies the engine ran: one per flow executed.
+func reportExecs(e *stage.Engine) uint64 { return e.Counters()["report"].Executions }
+
+func payload(t *testing.T, r *flow.Result) []byte {
+	t.Helper()
+	data, err := flow.EncodeResult(r)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // Regression for the %.0f cache-key collision: two sweep points 0.4 ps
-// apart must execute as two distinct flows and return distinct results.
+// apart must execute as two distinct flows and return distinct results, and
+// an exact repeat must execute nothing.
 func TestRunCacheKeyCollision(t *testing.T) {
-	s, calls := stubStudy(func(cfg flow.Config) (*flow.Result, error) {
-		return &flow.Result{Config: cfg}, nil
-	})
-	a, err := s.run(flow.Config{Circuit: "AES", Node: tech.N45, Mode: tech.Mode2D, ClockPs: 1000.0})
+	s, e := engineStudy(t)
+	a, err := s.run(flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode2D, ClockPs: 1800.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.run(flow.Config{Circuit: "AES", Node: tech.N45, Mode: tech.Mode2D, ClockPs: 1000.4})
+	b, err := s.run(flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode2D, ClockPs: 1800.4})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if a == b {
-		t.Fatal("configs 0.4 ps apart returned the same cached result")
 	}
 	if a.Config.ClockPs == b.Config.ClockPs {
 		t.Fatalf("wrong layout served: both results claim ClockPs %v", a.Config.ClockPs)
 	}
-	if n := atomic.LoadInt64(calls); n != 2 {
-		t.Fatalf("flow executed %d times, want 2", n)
+	if n := reportExecs(e); n != 2 {
+		t.Fatalf("report executed %d times, want 2", n)
 	}
-	// Identical config: cache hit, no third execution.
-	c, err := s.run(flow.Config{Circuit: "AES", Node: tech.N45, Mode: tech.Mode2D, ClockPs: 1000.0})
+	c, err := s.run(flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode2D, ClockPs: 1800.0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c != a {
-		t.Error("exact repeat did not hit the cache")
+	if !bytes.Equal(payload(t, c), payload(t, a)) {
+		t.Error("exact repeat served a different payload")
 	}
-	if n := atomic.LoadInt64(calls); n != 2 {
-		t.Errorf("flow executed %d times after repeat, want 2", n)
+	if n := reportExecs(e); n != 2 {
+		t.Errorf("report executed %d times after repeat, want 2", n)
+	}
+	if s.FlowsRun() != 2 {
+		t.Errorf("FlowsRun = %d, want 2 (the repeat executed nothing)", s.FlowsRun())
 	}
 }
 
 // Regression for the check-then-run stampede: N concurrent callers of one
 // config must trigger exactly one flow execution, and every caller gets the
-// same result.
+// same payload.
 func TestRunStampedeSingleflight(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	var startOnce sync.Once
-	s, calls := stubStudy(func(cfg flow.Config) (*flow.Result, error) {
-		startOnce.Do(func() { close(started) })
-		<-release
-		return &flow.Result{Config: cfg}, nil
-	})
-
+	s, e := engineStudy(t)
 	const goroutines = 32
 	results := make([]*flow.Result, goroutines)
 	errs := make([]error, goroutines)
@@ -88,68 +92,63 @@ func TestRunStampedeSingleflight(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			results[g], errs[g] = s.run(flow.Config{Circuit: "LDPC", Node: tech.N45, Mode: tech.ModeTMI})
+			results[g], errs[g] = s.run(flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.ModeTMI})
 		}(g)
 	}
-	<-started
-	// Give latecomers time to reach the lookup while the flow is inflight —
-	// under the old check-then-run they would all start their own flow.
-	time.Sleep(10 * time.Millisecond)
-	close(release)
 	wg.Wait()
-
-	if n := atomic.LoadInt64(calls); n != 1 {
-		t.Fatalf("flow executed %d times for one config, want exactly 1", n)
+	if n := reportExecs(e); n != 1 {
+		t.Fatalf("report executed %d times for one config, want exactly 1", n)
 	}
+	if s.FlowsRun() != 1 {
+		t.Errorf("FlowsRun = %d, want 1", s.FlowsRun())
+	}
+	want := payload(t, results[0])
 	for g := 0; g < goroutines; g++ {
 		if errs[g] != nil {
 			t.Fatalf("goroutine %d: %v", g, errs[g])
 		}
-		if results[g] != results[0] {
-			t.Fatalf("goroutine %d received a different result", g)
+		if !bytes.Equal(payload(t, results[g]), want) {
+			t.Fatalf("goroutine %d received a different payload", g)
 		}
 	}
 }
 
-// Errors reach every concurrent waiter but are not cached: the next call
-// retries.
+// A failed config is not cached: the next call executes it again.
 func TestRunErrorNotCached(t *testing.T) {
-	fail := errors.New("transient")
-	var attempt int64
-	s := NewStudy(0.1)
-	s.Runner = func(cfg flow.Config) (*flow.Result, error) {
-		if atomic.AddInt64(&attempt, 1) == 1 {
-			return nil, fail
+	s, e := engineStudy(t)
+	cfg := flow.Config{Circuit: "NOSUCH", Node: tech.N45, Mode: tech.Mode2D}
+	for attempt := uint64(1); attempt <= 2; attempt++ {
+		if _, err := s.run(cfg); err == nil {
+			t.Fatalf("attempt %d: an unknown circuit ran to completion", attempt)
 		}
-		return &flow.Result{Config: cfg}, nil
+		if n := reportExecs(e); n != attempt {
+			t.Fatalf("attempt %d: report executed %d times, want %d (errors are retried)", attempt, n, attempt)
+		}
 	}
-	cfg := flow.Config{Circuit: "DES", Node: tech.N7, Mode: tech.Mode2D}
-	if _, err := s.run(cfg); !errors.Is(err, fail) {
-		t.Fatalf("first call: %v, want %v", err, fail)
-	}
-	r, err := s.run(cfg)
-	if err != nil || r == nil {
-		t.Fatalf("retry after error: %v", err)
+	if s.FlowsRun() != 0 {
+		t.Errorf("FlowsRun = %d, want 0", s.FlowsRun())
 	}
 }
 
-// A panicking runner must not poison its key: the panic reaches the caller
-// that executed it, concurrent waiters get an error, and the next call for
-// the key runs again instead of blocking forever on a never-closed inflight.
+// A panicking flow must not poison its config: the panic reaches the caller
+// that executed it, a concurrent waiter gets an error, and the next call runs
+// the flow again instead of blocking forever on a dead inflight entry.
 func TestRunPanicReleasesKey(t *testing.T) {
+	s, e := engineStudy(t)
 	started := make(chan struct{})
 	release := make(chan struct{})
-	var attempt int64
-	s := NewStudy(0.1)
-	s.Runner = func(cfg flow.Config) (*flow.Result, error) {
-		if atomic.AddInt64(&attempt, 1) == 1 {
-			close(started)
-			<-release
-			panic("boom")
+	var gate sync.Once
+	// Hold the first report execution inside the engine's inflight window,
+	// before its body runs, until the waiter has joined it.
+	e.OnEvent(func(stage, event string) {
+		if stage == "report" && event == "execute" {
+			gate.Do(func() {
+				close(started)
+				<-release
+			})
 		}
-		return &flow.Result{Config: cfg}, nil
-	}
-	cfg := flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode2D}
+	})
+	cfg := flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode(99)} // the library stage panics
 	call := func() <-chan error {
 		out := make(chan error, 1)
 		go func() {
@@ -169,59 +168,59 @@ func TestRunPanicReleasesKey(t *testing.T) {
 		case err := <-out:
 			return err
 		case <-time.After(10 * time.Second):
-			t.Fatalf("%s blocked on the panicked key", what)
+			t.Fatalf("%s blocked on the panicked config", what)
 			return nil
 		}
 	}
 	executor := call()
 	<-started
 	waiter := call()
-	// Give the waiter time to reach the inflight entry before the runner
-	// panics. Arriving after the cleanup instead, it retries and succeeds;
-	// either way it must not block.
+	// Give the waiter time to join the inflight report before the body
+	// panics. Arriving after the cleanup instead, it retries and panics
+	// itself; either way it must not block.
 	time.Sleep(50 * time.Millisecond)
 	close(release)
-	if err := wait("executing caller", executor); err == nil || !strings.Contains(err.Error(), "panic: boom") {
-		t.Fatalf("executing caller: %v, want the runner's panic", err)
+	if err := wait("executing caller", executor); err == nil || !strings.HasPrefix(err.Error(), "panic: ") {
+		t.Fatalf("executing caller: %v, want the stage's panic", err)
 	}
-	if err := wait("waiter", waiter); err != nil && !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("waiter: %v, want a panicked error or a retried result", err)
+	if err := wait("waiter", waiter); err == nil || !strings.Contains(err.Error(), "panic") {
+		t.Fatalf("waiter: %v, want a panicked error or a retried panic", err)
 	}
-	if err := wait("retry", call()); err != nil {
-		t.Fatalf("retry after panic: %v", err)
+	before := reportExecs(e)
+	if err := wait("retry", call()); err == nil || !strings.HasPrefix(err.Error(), "panic: ") {
+		t.Fatalf("retry after panic: %v, want the stage's panic again", err)
+	}
+	if n := reportExecs(e); n != before+1 {
+		t.Errorf("retry executed the report %d times, want 1", n-before)
 	}
 }
 
-// RunAll preserves input order, deduplicates repeated configs, and returns
+// RunAll preserves input order, runs repeated configs once, and returns
 // identical results at any worker count.
 func TestRunAllDeterministicOrder(t *testing.T) {
-	mk := func(workers int) ([]*flow.Result, int64) {
-		s, calls := stubStudy(func(cfg flow.Config) (*flow.Result, error) {
-			// Stagger by clock so completion order != input order.
-			time.Sleep(time.Duration(int(cfg.ClockPs)%7) * time.Millisecond)
-			return &flow.Result{Config: cfg}, nil
-		})
+	mk := func(workers int) ([]*flow.Result, uint64) {
+		s, e := engineStudy(t)
 		s.Workers = workers
 		var cfgs []flow.Config
 		for i := 0; i < 12; i++ {
-			cfgs = append(cfgs, flow.Config{Circuit: "AES", Node: tech.N45, ClockPs: float64(1000 + i%6)})
+			cfgs = append(cfgs, flow.Config{Circuit: "FPU", Node: tech.N45, ClockPs: float64(1800 + 50*(i%6))})
 		}
 		rs, err := s.RunAll(cfgs)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return rs, atomic.LoadInt64(calls)
+		return rs, reportExecs(e)
 	}
 	serial, nSerial := mk(1)
 	parallel, nParallel := mk(8)
 	if nSerial != 6 || nParallel != 6 {
-		t.Errorf("executions serial=%d parallel=%d, want 6 each (dedup)", nSerial, nParallel)
+		t.Errorf("report executions serial=%d parallel=%d, want 6 each (dedup)", nSerial, nParallel)
 	}
 	for i := range serial {
-		if serial[i].Config.ClockPs != parallel[i].Config.ClockPs {
+		if !bytes.Equal(payload(t, serial[i]), payload(t, parallel[i])) {
 			t.Fatalf("result %d differs between -j 1 and -j 8", i)
 		}
-		if serial[i].Config.ClockPs != float64(1000+i%6) {
+		if serial[i].Config.ClockPs != float64(1800+50*(i%6)) {
 			t.Fatalf("result %d out of input order", i)
 		}
 	}
@@ -230,12 +229,14 @@ func TestRunAllDeterministicOrder(t *testing.T) {
 // RunAll reports the error of the lowest-index failing config regardless of
 // scheduling, so parallel failures are reproducible.
 func TestRunAllDeterministicError(t *testing.T) {
-	s, _ := stubStudy(func(cfg flow.Config) (*flow.Result, error) {
+	// A stub runner: fan-out semantics need no multi-second flows.
+	s := NewStudy(0.1)
+	s.Runner = func(cfg flow.Config) (*flow.Result, error) {
 		if cfg.ClockPs == 1002 || cfg.ClockPs == 1005 {
 			return nil, fmt.Errorf("boom at %v", cfg.ClockPs)
 		}
 		return &flow.Result{Config: cfg}, nil
-	})
+	}
 	s.Workers = 8
 	var cfgs []flow.Config
 	for i := 0; i < 8; i++ {

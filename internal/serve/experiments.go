@@ -8,7 +8,6 @@ import (
 	"strings"
 
 	"tmi3d/internal/core"
-	"tmi3d/internal/flow"
 	"tmi3d/internal/tech"
 )
 
@@ -54,20 +53,13 @@ func ExperimentIDs() []string {
 	return ids
 }
 
-// study returns a fresh study for one render at a (scale, seed) point. Its
-// flows decode the engine's report artifacts, so renders share every flow
-// through the engine's tiers, and the daemon holds no decoded results
-// between renders.
+// study returns a fresh study for one render at a (scale, seed) point, run
+// on the daemon's engine: renders share every flow through the engine's
+// tiers, and the daemon holds no decoded results between renders.
 func (s *Server) study(scale float64, seed uint64) *core.Study {
 	st := core.NewStudy(scale)
 	st.Seed = seed
-	st.Runner = func(cfg flow.Config) (*flow.Result, error) {
-		data, _, err := s.engine.Report(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return flow.DecodeResult(data)
-	}
+	st.Runner = core.EngineRunner(s.engine)
 	return st
 }
 

@@ -24,11 +24,9 @@ func encodeArtifact(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// decodeArtifact parses a node's artifact bytes into a fresh envelope of the
-// node's type. The engine routes every artifact — freshly computed or loaded
-// from a cache tier — through this decoder, so consumers always see the
-// decoded form and cold and warm executions are identical by construction.
-// The report's decoded form is its payload bytes.
+// decodeArtifact parses a node's artifact bytes, as read from the store, into
+// a fresh envelope of the node's type; the engine hands computed envelopes on
+// as they are. The report's decoded form is its payload bytes.
 func decodeArtifact(n *flow.Node, data []byte) (any, error) {
 	if n.Envelope == nil {
 		return data, nil

@@ -30,11 +30,13 @@
 //
 // One walk, and cache state never changes bytes: with or without a cache, the
 // same dispatch computes every node from its deps' values. A cache only
-// decides whether a node's body runs or its artifact is loaded instead, and
-// artifact codecs are exact inverses, with every artifact — fresh or loaded —
-// handed downstream in its decoded form; envelopes are immutable (node bodies
-// clone what they mutate). Tests diff report, Verilog, and DEF bytes across
-// cold, warm, partial-hit and broken stores.
+// decides whether a node's body runs or its artifact is loaded instead. A
+// fresh envelope is handed downstream as computed, a loaded one as decoded,
+// and the codecs are exact inverses (wiresafe proves them total, tmi3d wireid
+// replays a store through them), so both forms are the same value. Envelopes
+// are shared between walks and never mutated: node bodies clone what they
+// mutate. Tests diff report, Verilog, and DEF bytes across cold, warm,
+// partial-hit and broken stores, and across a memory-only sweep.
 package stage
 
 import (
@@ -84,15 +86,24 @@ func (s RunStats) Summary() string {
 	return fmt.Sprintf("mem=%d disk=%d run=%d", s.MemHits, s.DiskHits, s.Executions)
 }
 
-// memLimit is the in-process artifact cache capacity (entries). Eight
-// cached nodes per flow point means the cache holds roughly eight sweep
-// points of hot artifacts.
+// memLimit is the in-process envelope tier's capacity (entries). Seven
+// cached envelopes per flow point means the tier holds roughly nine sweep
+// points of hot layouts.
 const memLimit = 64
+
+// reportBudget is the in-process report tier's capacity in payload bytes.
+// A report is 10-100x smaller than the layout envelopes it came from, so
+// reports get a tier of their own and outlive those layouts: a table that
+// re-reads an earlier table's flow never re-runs it. The full cmd/experiments
+// set (89 reports, 17 MB at scale 0.1, growing linearly with scale) fits at
+// scale 1.0.
+const reportBudget = 256 << 20
 
 // Engine caches the artifacts of flow's DAG walk with content-addressed reuse.
 // Its Run is a drop-in for flow.Run — byte-identical results at any cache
-// state — backed by two tiers: an in-process LRU of decoded artifacts and,
-// when opened with a directory, a persistent castore shared across processes.
+// state — backed by two tiers: in process, an LRU of envelopes and a
+// byte-budgeted LRU of report payloads; when opened with a directory, a
+// persistent castore shared across processes.
 //
 // An Engine is safe for concurrent use; concurrent runs needing the same
 // artifact compute it once (the second run waits and counts a memory hit).
@@ -100,16 +111,11 @@ type Engine struct {
 	store *castore.Store // nil = in-process tiers only
 
 	mu       sync.Mutex
-	mem      map[string]*list.Element // artifact ID → LRU element
-	lru      *list.List               // of *memEntry, front = most recent
+	envs     *lru // envelopes, memLimit entries
+	reports  *lru // report payloads, reportBudget bytes
 	inflight map[string]*call
 	counters map[string]*Counters
 	onEvent  func(stage, event string)
-}
-
-type memEntry struct {
-	id string
-	v  any
 }
 
 // call tracks an artifact computation in flight, so concurrent runs
@@ -124,8 +130,8 @@ type call struct {
 // means in-process caching only.
 func New(dir string) (*Engine, error) {
 	e := &Engine{
-		mem:      map[string]*list.Element{},
-		lru:      list.New(),
+		envs:     newLRU(memLimit, func(any) int { return 1 }),
+		reports:  newLRU(reportBudget, func(v any) int { return len(v.([]byte)) }),
 		inflight: map[string]*call{},
 		counters: map[string]*Counters{},
 	}
@@ -211,26 +217,28 @@ func (e *Engine) Run(cfg flow.Config) (*flow.Result, error) {
 	return res, err
 }
 
-// RunStats is Run plus this run's cache accounting.
+// RunStats is Run plus this run's cache accounting, the hits and executions
+// of reattaching the final implementation included.
 func (e *Engine) RunStats(cfg flow.Config) (*flow.Result, RunStats, error) {
 	r := e.newRun(cfg)
-	data, stats, err := r.report()
+	data, err := r.walk.Value("report")
 	if err != nil {
-		return nil, stats, err
+		return nil, r.done(), err
 	}
-	res, err := flow.DecodeResult(data)
+	res, err := flow.DecodeResult(data.([]byte))
 	if err != nil {
-		return nil, stats, err
+		return nil, r.done(), err
 	}
 	// Reattach the in-memory artifacts the wire payload excludes: the final
 	// implementation (for Verilog/DEF export) and this run's stage profile.
 	sv, err := r.walk.Value("signoff")
 	if err != nil {
-		return nil, r.stats, err
+		return nil, r.done(), err
 	}
 	sga := sv.(*flow.SignoffArtifact)
 	res.Design = sga.Design.Clone()
 	res.Placement = sga.Snap.Restore(res.Design)
+	stats := r.done()
 	res.StageTimes = stats.StageTimes
 	return res, stats, nil
 }
@@ -240,7 +248,12 @@ func (e *Engine) RunStats(cfg flow.Config) (*flow.Result, RunStats, error) {
 // serving or executing whatever stages it needs, but skipping Run's decode of
 // the payload and its reattachment of the final implementation.
 func (e *Engine) Report(cfg flow.Config) ([]byte, RunStats, error) {
-	return e.newRun(cfg).report()
+	r := e.newRun(cfg)
+	v, err := r.walk.Value("report")
+	if err != nil {
+		return nil, r.done(), err
+	}
+	return v.([]byte), r.done(), nil
 }
 
 // run is one walk's cache: it serves the walk's cached nodes through the
@@ -257,13 +270,10 @@ func (e *Engine) newRun(cfg flow.Config) *run {
 	return r
 }
 
-func (r *run) report() ([]byte, RunStats, error) {
-	v, err := r.walk.Value("report")
+// done returns the run's cache accounting with the walk's stage profile.
+func (r *run) done() RunStats {
 	r.stats.StageTimes = r.walk.StageTimes()
-	if err != nil {
-		return nil, r.stats, err
-	}
-	return v.([]byte), r.stats, nil
+	return r.stats
 }
 
 // Artifact implements flow.Cache.
@@ -275,11 +285,11 @@ func (r *run) Artifact(n *flow.Node, id string, compute func() (any, error)) (an
 func (r *run) Executed(n *flow.Node) { r.e.event(r, n.Name, EventExecute) }
 
 // Cached looks up a report artifact by its ID — a config's Key — in the
-// memory tier only: no store read, no execution, one map probe. A miss is
-// Report's to serve, from the store or by executing.
+// in-process report tier only: no store read, no execution, one map probe. A
+// miss is Report's to serve, from the store or by executing.
 func (e *Engine) Cached(id string) ([]byte, bool) {
 	e.mu.Lock()
-	v, ok := e.memGet(id)
+	v, ok := e.reports.get(id)
 	e.mu.Unlock()
 	if !ok {
 		return nil, false
@@ -313,8 +323,8 @@ func (e *Engine) Plan(cfg flow.Config) []PlanEntry {
 	// every concurrent artifact() behind the filesystem.
 	inMem := make(map[string]bool, len(ids))
 	e.mu.Lock()
-	for _, id := range ids {
-		_, inMem[id] = e.mem[id]
+	for i := range flow.Nodes {
+		_, inMem[ids[i]] = e.tier(&flow.Nodes[i]).items[ids[i]]
 	}
 	e.mu.Unlock()
 	out := make([]PlanEntry, 0, len(flow.Nodes))
@@ -358,30 +368,57 @@ func KeyString(cfg flow.Config, name string) string {
 // quarantine reports human-attributable.
 func storeKey(name, id string) string { return "stage|" + name + "|" + id }
 
-// memGet looks up a decoded artifact, refreshing its recency. Caller holds mu.
-func (e *Engine) memGet(id string) (any, bool) {
-	el, ok := e.mem[id]
+// lru is one in-process tier: artifacts by ID, evicting the least recently
+// used while the entries' total cost exceeds limit. Callers hold Engine.mu.
+type lru struct {
+	items map[string]*list.Element
+	order *list.List // of *memEntry, front = most recent
+	size  int
+	limit int
+	cost  func(any) int
+}
+
+type memEntry struct {
+	id string
+	v  any
+}
+
+func newLRU(limit int, cost func(any) int) *lru {
+	return &lru{items: map[string]*list.Element{}, order: list.New(), limit: limit, cost: cost}
+}
+
+// get looks up an artifact, refreshing its recency.
+func (c *lru) get(id string) (any, bool) {
+	el, ok := c.items[id]
 	if !ok {
 		return nil, false
 	}
-	e.lru.MoveToFront(el)
+	c.order.MoveToFront(el)
 	return el.Value.(*memEntry).v, true
 }
 
-// memPut inserts a decoded artifact, evicting the coldest entries past the
-// cache limit. Caller holds mu.
-func (e *Engine) memPut(id string, v any) {
-	if el, ok := e.mem[id]; ok {
-		e.lru.MoveToFront(el)
-		el.Value.(*memEntry).v = v
-		return
+// put inserts an artifact, evicting the coldest entries past the limit.
+func (c *lru) put(id string, v any) {
+	if el, ok := c.items[id]; ok {
+		c.size -= c.cost(el.Value.(*memEntry).v)
+		c.order.Remove(el)
 	}
-	e.mem[id] = e.lru.PushFront(&memEntry{id: id, v: v})
-	for e.lru.Len() > memLimit {
-		el := e.lru.Back()
-		e.lru.Remove(el)
-		delete(e.mem, el.Value.(*memEntry).id)
+	c.items[id] = c.order.PushFront(&memEntry{id: id, v: v})
+	c.size += c.cost(v)
+	for c.size > c.limit {
+		el := c.order.Back()
+		c.order.Remove(el)
+		c.size -= c.cost(el.Value.(*memEntry).v)
+		delete(c.items, el.Value.(*memEntry).id)
 	}
+}
+
+// tier is the in-process tier holding n's artifacts.
+func (e *Engine) tier(n *flow.Node) *lru {
+	if n.Envelope == nil {
+		return e.reports
+	}
+	return e.envs
 }
 
 // artifact serves one cached node: memory tier, then the store, then
@@ -391,7 +428,7 @@ func (e *Engine) memPut(id string, v any) {
 func (e *Engine) artifact(r *run, n *flow.Node, id string, compute func() (any, error)) (v any, err error) {
 	name := n.Name
 	e.mu.Lock()
-	if v, ok := e.memGet(id); ok {
+	if v, ok := e.tier(n).get(id); ok {
 		e.mu.Unlock()
 		e.event(r, name, EventMemHit)
 		return v, nil
@@ -408,7 +445,7 @@ func (e *Engine) artifact(r *run, n *flow.Node, id string, compute func() (any, 
 		if c.err != nil {
 			return nil, c.err
 		}
-		// The other run decoded and published the artifact; serving it
+		// The other run computed or loaded the artifact; serving it
 		// without re-executing is this run's memory hit.
 		e.event(r, name, EventMemHit)
 		return c.v, nil
@@ -422,7 +459,7 @@ func (e *Engine) artifact(r *run, n *flow.Node, id string, compute func() (any, 
 		e.mu.Lock()
 		delete(e.inflight, id)
 		if err == nil {
-			e.memPut(id, v)
+			e.tier(n).put(id, v)
 		}
 		e.mu.Unlock()
 		c.wg.Done()
@@ -433,9 +470,10 @@ func (e *Engine) artifact(r *run, n *flow.Node, id string, compute func() (any, 
 }
 
 // fill loads a node's artifact from the store or computes it, publishing
-// fresh bytes back to the store. Both paths return the decoded form. A store
-// that fails to read or write degrades to recomputation, counted as a
-// store_error event.
+// fresh bytes back to the store. A loaded artifact is returned decoded, a
+// computed one as computed: an envelope is encoded only to be stored, the
+// report always, since its payload bytes are its artifact. A store that fails
+// to read or write degrades to recomputation, counted as a store_error event.
 func (e *Engine) fill(r *run, n *flow.Node, id string, compute func() (any, error)) (any, error) {
 	name := n.Name
 	key := storeKey(name, id)
@@ -459,14 +497,20 @@ func (e *Engine) fill(r *run, n *flow.Node, id string, compute func() (any, erro
 	if err != nil {
 		return nil, err
 	}
+	if n.Envelope != nil && e.store == nil {
+		return v, nil
+	}
 	data, err := encodeArtifact(v)
 	if err != nil {
 		return nil, err
+	}
+	if n.Envelope == nil {
+		v = data
 	}
 	if e.store != nil {
 		if err := e.store.Put(key, data); err != nil {
 			e.event(r, name, EventStoreError)
 		}
 	}
-	return decodeArtifact(n, data)
+	return v, nil
 }

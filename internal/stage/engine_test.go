@@ -141,8 +141,17 @@ func TestStagedByteIdentity(t *testing.T) {
 	}
 	disk, diskStats := stagedRun(t, e2, cfg)
 	mustEqual(t, "disk-warm", mono, disk)
-	if diskStats.Executions != 0 || diskStats.DiskHits == 0 {
-		t.Errorf("disk-warm stats = %+v, want disk hits and no executions", diskStats)
+	// The stats cover the whole run: the report's disk hit and the signoff
+	// read that reattaches the implementation, as the counters do.
+	var counted RunStats
+	for _, c := range e2.Counters() {
+		counted.MemHits += int(c.MemHits)
+		counted.DiskHits += int(c.DiskHits)
+		counted.Executions += int(c.Executions)
+	}
+	if diskStats.Summary() != "mem=0 disk=2 run=0" || counted.Summary() != diskStats.Summary() {
+		t.Errorf("disk-warm stats %s, counters %s; want both mem=0 disk=2 run=0 (report and signoff)",
+			diskStats.Summary(), counted.Summary())
 	}
 
 	// Partial hit: the tail of the pipeline is gone; its recompute consumes
@@ -202,38 +211,93 @@ func TestStagedByteIdentity(t *testing.T) {
 }
 
 // A clock sweep recomputes only the dirty cone: generate/synth/place run for
-// the first point and are reused — byte-identically — by every later point.
+// the first point and are reused — byte-identically — by every later point,
+// and a second pass over the sweep executes nothing. The store-less engine
+// hands fresh envelopes on as computed and shares them across points, so a
+// node body that mutated its input would show here as a byte diff.
 func TestClockSweepReuse(t *testing.T) {
 	base, err := circuits.TargetClockPs("FPU", tech.N45)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, err := New(t.TempDir())
+	clocks := []float64{0, base * 1.15, base * 1.4} // 0 = the Table 12 default
+	cfgs := make([]flow.Config, len(clocks))
+	mono := make([]resultBytes, len(clocks))
+	for i, clk := range clocks {
+		cfgs[i] = testConfig()
+		cfgs[i].ClockPs = clk
+		mono[i] = monoRun(t, cfgs[i])
+	}
+	for _, dir := range []string{t.TempDir(), ""} {
+		e, err := New(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pass := 0; pass < 2; pass++ {
+			for i, cfg := range cfgs {
+				label := fmt.Sprintf("store %q pass %d point %d (clock %.0f)", dir, pass, i, clocks[i])
+				staged, stats := stagedRun(t, e, cfg)
+				mustEqual(t, label, mono[i], staged)
+				if pass == 1 && stats.Executions != 0 {
+					t.Errorf("%s: stats %s, want no executions", label, stats.Summary())
+				}
+			}
+		}
+		c := e.Counters()
+		for _, name := range []string{"wlm", "synth", "place"} {
+			if c[name].Executions != 1 {
+				t.Errorf("store %q: %s executed %d times across %d sweep points, want 1",
+					dir, name, c[name].Executions, len(clocks))
+			}
+		}
+		for _, name := range []string{"opt", "route", "signoff", "power", "report"} {
+			if c[name].Executions != uint64(len(clocks)) {
+				t.Errorf("store %q: %s executed %d times, want %d (every sweep point once)",
+					dir, name, c[name].Executions, len(clocks))
+			}
+		}
+		if c["synth"].MemHits == 0 {
+			t.Errorf("store %q: synth counters = %+v, want memory hits from later sweep points", dir, c["synth"])
+		}
+	}
+}
+
+// Reports outlive layouts: after enough other sweep points to evict a
+// point's envelopes from memory, the point's report is still served from
+// memory, executing nothing.
+func TestReportsOutliveLayouts(t *testing.T) {
+	e, err := New("")
 	if err != nil {
 		t.Fatal(err)
 	}
-	clocks := []float64{0, base * 1.15, base * 1.4} // 0 = the Table 12 default
-	for i, clk := range clocks {
-		cfg := testConfig()
-		cfg.ClockPs = clk
-		staged, _ := stagedRun(t, e, cfg)
-		mustEqual(t, fmt.Sprintf("sweep point %d (clock %.0f)", i, clk), monoRun(t, cfg), staged)
+	point := func(clk float64) flow.Config {
+		return flow.Config{Circuit: "FPU", Node: tech.N45, Mode: tech.Mode2D, Scale: 0.05, ClockPs: clk}
 	}
-	c := e.Counters()
-	for _, name := range []string{"wlm", "synth", "place"} {
-		if c[name].Executions != 1 {
-			t.Errorf("%s executed %d times across %d sweep points, want 1",
-				name, c[name].Executions, len(clocks))
+	a := point(1800)
+	want, _, err := e.Report(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each further point adds four envelopes (opt, route, signoff, power).
+	for i := 1; i <= memLimit/4+1; i++ {
+		if _, _, err := e.Report(point(1800 + 10*float64(i))); err != nil {
+			t.Fatal(err)
 		}
 	}
-	for _, name := range []string{"opt", "route", "signoff", "power", "report"} {
-		if c[name].Executions != uint64(len(clocks)) {
-			t.Errorf("%s executed %d times, want %d (every sweep point)",
-				name, c[name].Executions, len(clocks))
+	for _, pe := range e.Plan(a) {
+		if pe.Name == "opt" && pe.Tier != "" {
+			t.Fatalf("opt envelope of the first point still in tier %q: the sweep did not evict it", pe.Tier)
 		}
 	}
-	if c["synth"].MemHits == 0 {
-		t.Errorf("synth counters = %+v, want memory hits from later sweep points", c["synth"])
+	got, stats, err := e.Report(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("re-read report differs from the first")
+	}
+	if stats.Summary() != "mem=1 disk=0 run=0" {
+		t.Errorf("re-read stats %s, want mem=1 disk=0 run=0", stats.Summary())
 	}
 }
 

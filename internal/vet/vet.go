@@ -100,7 +100,7 @@ func Deterministic(importPath string) bool {
 // library-check once) whose mutation-after-publication is exactly the bug
 // class globalmut targets, even though flow's wall-clock StageTimes keep it
 // out of the seedpurity/maporder set. The staged engine rides along for the
-// same reason — its artifact caches publish decoded artifacts across runs —
+// same reason — its artifact caches publish envelopes across runs —
 // while its stage profiling (time.Now) keeps it out of the seedpurity set.
 var globalStatePkgs = append([]string{"internal/flow", "internal/stage"}, deterministicPkgs...)
 

@@ -56,8 +56,11 @@ stage race
 go test -race ./...
 
 stage parallel-determinism
-# The experiment engine's contract: the report is byte-identical at any -j.
-# Run a real (small) experiment serially and at -j 4 and diff the outputs.
+# The experiment engine's contract: the report is byte-identical at any -j,
+# and so is the work behind it. Run real (small) experiments serially and at
+# -j 4 — Table 4, Table 13 (which re-reads Table 4's flows through the
+# study's engine) and Table 16 — and diff the outputs and the logged count of
+# flows executed.
 pdir=$(mktemp -d)
 serve_pid=""
 cleanup() {
@@ -65,10 +68,19 @@ cleanup() {
     rm -rf "$pdir"
 }
 trap cleanup EXIT
-go run ./cmd/experiments -scale 0.1 -only table16 -j 1 -out "$pdir/j1.txt" >/dev/null
-go run ./cmd/experiments -scale 0.1 -only table16 -j 4 -out "$pdir/j4.txt" >/dev/null
+go build -o "$pdir/experiments" ./cmd/experiments
+for j in 1 4; do
+    "$pdir/experiments" -scale 0.1 -only table4,table13,table16 -j "$j" \
+        -out "$pdir/j$j.txt" >/dev/null 2>"$pdir/j$j.log"
+done
 if ! diff -u "$pdir/j1.txt" "$pdir/j4.txt"; then
     echo "experiments output differs between -j 1 and -j 4" >&2
+    exit 1
+fi
+flows1=$(grep -o '[0-9]* flows executed)' "$pdir/j1.log")
+flows4=$(grep -o '[0-9]* flows executed)' "$pdir/j4.log")
+if [ "$flows1" != "$flows4" ]; then
+    echo "experiments executed ($flows1 at -j 1 but ($flows4 at -j 4" >&2
     exit 1
 fi
 
