@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"tmi3d/internal/core"
-	"tmi3d/internal/tech"
 )
 
 func main() {
@@ -43,50 +42,26 @@ func main() {
 	want := map[string]bool{}
 	for _, id := range strings.Split(*only, ",") {
 		id = strings.TrimSpace(strings.ToLower(id))
-		if id != "" {
-			want[id] = true
+		if id == "" {
+			continue
 		}
+		if _, ok := core.LookupExperiment(id); !ok {
+			log.Fatalf("-only: unknown experiment %q (one of %s)", id, strings.Join(core.ExperimentIDs(), ", "))
+		}
+		want[id] = true
 	}
-	sel := func(id string) bool { return len(want) == 0 || want[id] }
 
-	type exp struct {
-		id  string
-		gen func() (string, error)
-	}
-	experiments := []exp{
-		{"table1", func() (string, error) { return core.RenderTable1(), nil }},
-		{"table2", core.RenderTable2},
-		{"table3", func() (string, error) { return core.RenderTable3(), nil }},
-		{"table4", func() (string, error) { return s.RenderSummary(tech.N45) }},
-		{"table5", s.RenderTable5},
-		{"table6", func() (string, error) { return core.RenderTable6(), nil }},
-		{"table7", func() (string, error) { return s.RenderSummary(tech.N7) }},
-		{"table8", s.RenderTable8},
-		{"table9", s.RenderTable9},
-		{"table10", func() (string, error) { return core.RenderTable10(), nil }},
-		{"table11", core.RenderTable11},
-		{"table12", s.RenderTable12},
-		{"table13", func() (string, error) { return s.RenderDetail(tech.N45) }},
-		{"table14", func() (string, error) { return s.RenderDetail(tech.N7) }},
-		{"table15", s.RenderTable15},
-		{"table16", s.RenderTable16},
-		{"table17", s.RenderTable17},
-		{"fig4", s.RenderFig4},
-		{"fig6", s.RenderFig6},
-		{"fig10", s.RenderFig10},
-		{"fig11", func() (string, error) { return s.RenderFig11(nil) }},
-	}
 	wall := time.Now()
-	for _, e := range experiments {
-		if !sel(e.id) {
+	for _, e := range core.Experiments {
+		if len(want) > 0 && !want[e.ID] {
 			continue
 		}
 		t0 := time.Now()
-		text, err := e.gen()
+		text, err := e.Render(s)
 		if err != nil {
-			log.Fatalf("%s: %v", e.id, err)
+			log.Fatalf("%s: %v", e.ID, err)
 		}
-		log.Printf("%s done in %v", e.id, time.Since(t0).Round(time.Millisecond))
+		log.Printf("%s done in %v", e.ID, time.Since(t0).Round(time.Millisecond))
 		b.WriteString(text)
 		b.WriteString("\n")
 	}

@@ -27,15 +27,15 @@ import (
 
 func main() {
 	circuit := flag.String("circuit", "LDPC", "benchmark name")
-	modeF := flag.String("mode", "2d", "2d or tmi")
+	modeF := flag.String("mode", "2d", "2d, tmi or tmim")
 	scale := flag.Float64("scale", 0.3, "circuit scale")
 	out := flag.String("out", "layout", "output file prefix")
 	flag.Parse()
 	log.SetFlags(0)
 
-	mode := tech.Mode2D
-	if strings.EqualFold(*modeF, "tmi") || strings.EqualFold(*modeF, "3d") {
-		mode = tech.ModeTMI
+	mode, err := tech.ParseMode(*modeF)
+	if err != nil {
+		log.Fatal(err)
 	}
 	lib, err := liberty.Default(tech.N45, mode)
 	if err != nil {

@@ -41,16 +41,13 @@ func main() {
 		log.Fatal("need -v netlist")
 	}
 
-	node := tech.N45
-	if *nodeF == "7" {
-		node = tech.N7
+	node, err := tech.ParseNode(*nodeF)
+	if err != nil {
+		log.Fatal(err)
 	}
-	mode := tech.Mode2D
-	switch strings.ToLower(*modeF) {
-	case "tmi", "3d":
-		mode = tech.ModeTMI
-	case "tmim":
-		mode = tech.ModeTMIM
+	mode, err := tech.ParseMode(*modeF)
+	if err != nil {
+		log.Fatal(err)
 	}
 	lib, err := liberty.Default(node, mode)
 	if err != nil {

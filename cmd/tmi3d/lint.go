@@ -39,9 +39,9 @@ func lintMain(args []string) {
 	corrupt := fs.String("corrupt", "", "comma list of defects to inject post-synthesis: multidrive, loop, float, swapgate, dropinv")
 	fs.Parse(args)
 
-	node := tech.N45
-	if *nodeF == "7" {
-		node = tech.N7
+	node, err := tech.ParseNode(*nodeF)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	var reports []*lint.Report

@@ -75,8 +75,7 @@ func main() {
 		runFlow = eng.Run
 	}
 
-	node := parseNode(*nodeF)
-	mode := parseMode(*modeF)
+	node, mode := nodeAndMode(*nodeF, *modeF)
 
 	// Intra-flow budget: explicit, or the cores left per concurrent flow.
 	intra := *workers
@@ -160,21 +159,18 @@ func writeArtifacts(r *flow.Result, prefix string) {
 	log.Printf("wrote %s.v and %s.def", prefix, prefix)
 }
 
-func parseNode(s string) tech.Node {
-	if s == "7" || s == "7nm" {
-		return tech.N7
+// nodeAndMode parses the -node and -mode flags, exiting on an unknown
+// spelling rather than running the default.
+func nodeAndMode(nodeF, modeF string) (tech.Node, tech.Mode) {
+	node, err := tech.ParseNode(nodeF)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return tech.N45
-}
-
-func parseMode(s string) tech.Mode {
-	switch strings.ToLower(s) {
-	case "tmi", "3d":
-		return tech.ModeTMI
-	case "tmim", "3d+m":
-		return tech.ModeTMIM
+	mode, err := tech.ParseMode(modeF)
+	if err != nil {
+		log.Fatal(err)
 	}
-	return tech.Mode2D
+	return node, mode
 }
 
 // runFlow executes one flow; -stagecache swaps in a staged engine.

@@ -28,9 +28,10 @@ func stagesMain(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	node, mode := nodeAndMode(*nodeF, *modeF)
 	cfg := flow.Config{
 		Circuit: *circuit, Scale: *scale,
-		Node: parseNode(*nodeF), Mode: parseMode(*modeF), ClockPs: *clock,
+		Node: node, Mode: mode, ClockPs: *clock,
 	}
 	fmt.Printf("%-8s  %-7s  %-16s  %s\n", "stage", "tier", "artifact", "key")
 	for _, pe := range eng.Plan(cfg) {

@@ -41,9 +41,10 @@ func wireidMain(args []string) {
 	if err != nil {
 		log.Fatal(err)
 	}
+	node, mode := nodeAndMode(*nodeF, *modeF)
 	cfg := flow.Config{
 		Circuit: *circuit, Scale: *scale,
-		Node: parseNode(*nodeF), Mode: parseMode(*modeF), ClockPs: *clock,
+		Node: node, Mode: mode, ClockPs: *clock,
 	}
 	checks, err := eng.WireIdentity(cfg)
 	if err != nil {

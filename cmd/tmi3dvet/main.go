@@ -1,8 +1,12 @@
 // Command tmi3dvet is the repository's determinism and concurrency
 // multichecker: it loads and type-checks every package in the module and runs
 // the internal/vet analyzer suite (ctxdisc, globalmut, godisc, lockorder,
-// maporder, parsafe, seedpurity, stagedeps, wiresafe). A non-empty
-// report exits 1, which is what scripts/check.sh gates CI on.
+// maporder, parsafe, seedpurity, stagedeps, wiresafe). The module is loaded
+// once and its function index built at load time; every analyzer then runs
+// over the same shared kernel (callee resolution, sync recognition,
+// manifest lookup, suppressed reporting). maporder and seedpurity cover the
+// flow kernels plus lint and equiv, whose reports reach the wire. A
+// non-empty report exits 1, which is what scripts/check.sh gates CI on.
 //
 // Usage:
 //

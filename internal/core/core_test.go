@@ -342,3 +342,27 @@ func TestRenderAll(t *testing.T) {
 		}
 	}
 }
+
+// TestExperimentRegistry pins the shared experiment list: 17 tables and 4
+// figures in report order, unique ids, and lookup by id — the list both
+// cmd/experiments -only and the daemon's experiment endpoint validate
+// against.
+func TestExperimentRegistry(t *testing.T) {
+	ids := ExperimentIDs()
+	if len(ids) != 21 || ids[0] != "table1" || ids[16] != "table17" || ids[20] != "fig11" {
+		t.Fatalf("experiment ids = %v", ids)
+	}
+	seen := map[string]bool{}
+	for _, id := range ids {
+		if seen[id] {
+			t.Errorf("duplicate experiment id %q", id)
+		}
+		seen[id] = true
+		if e, ok := LookupExperiment(id); !ok || e.ID != id || e.Render == nil {
+			t.Errorf("LookupExperiment(%q) = %v, %v", id, e.ID, ok)
+		}
+	}
+	if _, ok := LookupExperiment("tabel4"); ok {
+		t.Error("LookupExperiment accepted an unknown id")
+	}
+}

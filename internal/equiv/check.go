@@ -223,35 +223,32 @@ func seqInstances(d *netlist.Design) []int {
 // comparePorts records PO/PI set differences and returns the common PO
 // names, sorted.
 func comparePorts(rep *Report, a, b *netlist.Design) []string {
-	var common []string
+	var common, missing []string
 	for name := range a.POs {
 		if _, ok := b.POs[name]; ok {
 			common = append(common, name)
 		} else {
-			rep.MissingPorts = append(rep.MissingPorts,
-				fmt.Sprintf("output %s only in %s", name, a.Name))
+			missing = append(missing, fmt.Sprintf("output %s only in %s", name, a.Name))
 		}
 	}
 	for name := range b.POs {
 		if _, ok := a.POs[name]; !ok {
-			rep.MissingPorts = append(rep.MissingPorts,
-				fmt.Sprintf("output %s only in %s", name, b.Name))
+			missing = append(missing, fmt.Sprintf("output %s only in %s", name, b.Name))
 		}
 	}
 	for name := range a.PIs {
 		if _, ok := b.PIs[name]; !ok {
-			rep.MissingPorts = append(rep.MissingPorts,
-				fmt.Sprintf("input %s only in %s", name, a.Name))
+			missing = append(missing, fmt.Sprintf("input %s only in %s", name, a.Name))
 		}
 	}
 	for name := range b.PIs {
 		if _, ok := a.PIs[name]; !ok {
-			rep.MissingPorts = append(rep.MissingPorts,
-				fmt.Sprintf("input %s only in %s", name, b.Name))
+			missing = append(missing, fmt.Sprintf("input %s only in %s", name, b.Name))
 		}
 	}
 	sort.Strings(common)
-	sort.Strings(rep.MissingPorts)
+	sort.Strings(missing)
+	rep.MissingPorts = missing
 	return common
 }
 
@@ -585,6 +582,7 @@ func netDepths(d *netlist.Design) []int {
 			inst := &d.Instances[drv.Inst]
 			ready := true
 			maxIn := 0
+			//tmi3dvet:ordered depth is a max over the input pins; pin order moves only the stack, not the depths
 			for pin, pn := range inst.Pins {
 				if pin == drv.Pin {
 					continue

@@ -2,7 +2,6 @@ package equiv
 
 import (
 	"fmt"
-	"sort"
 
 	"tmi3d/internal/cellgen"
 	"tmi3d/internal/netlist"
@@ -293,7 +292,7 @@ func compile(d *netlist.Design, src *inputSource, regKey func(inst int) string) 
 		return nil
 	}
 
-	for _, name := range sortedNames(d.POs) {
+	for _, name := range d.SortedPOs() {
 		if err = iterVisit(d.POs[name]); err != nil {
 			return nil, err
 		}
@@ -310,13 +309,4 @@ func compile(d *netlist.Design, src *inputSource, regKey func(inst int) string) 
 		c.RegD[ri] = c.NetLit[dn]
 	}
 	return c, nil
-}
-
-func sortedNames(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }

@@ -3,6 +3,7 @@ package equiv
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"tmi3d/internal/cellgen"
 	"tmi3d/internal/device"
@@ -179,13 +180,19 @@ func switchEval(def *cellgen.CellDef, args []bool) (map[string]bool, error) {
 		if find(cellgen.NetVDD) == find(cellgen.NetVSS) {
 			return nil, fmt.Errorf("VDD–VSS short through conducting channels")
 		}
+		// Sorted, so a fight names the same net on every run.
+		nets := make([]string, 0, len(vals))
+		for net := range vals {
+			nets = append(nets, net)
+		}
+		sort.Strings(nets)
 		compVal := map[string]bool{}
-		for net, v := range vals {
+		for _, net := range nets {
 			root := find(net)
-			if old, ok := compVal[root]; ok && old != v {
+			if old, ok := compVal[root]; ok && old != vals[net] {
 				return nil, fmt.Errorf("net %s driven to both 0 and 1", net)
 			}
-			compVal[root] = v
+			compVal[root] = vals[net]
 		}
 		changed := false
 		for _, t := range def.Transistors {

@@ -131,7 +131,7 @@ func checkDrivers(rep *Report, d *netlist.Design) {
 			}
 		}
 	}
-	for _, port := range sortedPorts(d.PIs) {
+	for _, port := range d.SortedPIs() {
 		ni := d.PIs[port]
 		if ni >= 0 && ni < len(d.Nets) {
 			drivers[ni] = append(drivers[ni], driver{"PI " + port})
@@ -296,6 +296,7 @@ func checkReachability(rep *Report, d *netlist.Design) {
 	seenNet := make([]bool, len(d.Nets))
 	seenInst := make([]bool, len(d.Instances))
 	var work []int
+	//tmi3dvet:ordered worklist seed: the reachable set is the same whatever order the walk takes
 	for _, ni := range d.POs {
 		if ni >= 0 && ni < len(d.Nets) && !seenNet[ni] {
 			seenNet[ni] = true
@@ -310,6 +311,7 @@ func checkReachability(rep *Report, d *netlist.Design) {
 			continue
 		}
 		seenInst[drv.Inst] = true
+		//tmi3dvet:ordered worklist growth: the reachable set is the same whatever order the walk takes
 		for pin, pn := range d.Instances[drv.Inst].Pins {
 			if pin == drv.Pin || pn < 0 || pn >= len(d.Nets) || seenNet[pn] {
 				continue
@@ -345,11 +347,16 @@ func checkMapping(rep *Report, d *netlist.Design, lib *liberty.Library, mapped b
 					"function %q has no cellgen template", inst.Func)
 			}
 		} else {
+			var foreign []string
 			for pin := range inst.Pins {
 				if !fi.ports[pin] {
-					rep.add("LIB-PINSET", "instance "+inst.Name,
-						"pin %q is not a port of function %q", pin, inst.Func)
+					foreign = append(foreign, pin)
 				}
+			}
+			sort.Strings(foreign)
+			for _, pin := range foreign {
+				rep.add("LIB-PINSET", "instance "+inst.Name,
+					"pin %q is not a port of function %q", pin, inst.Func)
 			}
 		}
 		if mapped && inst.CellName == "" {
@@ -369,15 +376,6 @@ func checkMapping(rep *Report, d *netlist.Design, lib *liberty.Library, mapped b
 				"bound cell %q not in the %v/%v library", inst.CellName, lib.Node, lib.Mode)
 		}
 	}
-}
-
-func sortedPorts(m map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func joinMax(names []string, limit int) string {

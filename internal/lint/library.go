@@ -63,10 +63,15 @@ func checkCell(rep *Report, c *liberty.Cell) {
 			rep.add("LIB-PINSET", where, "input pin %q has no capacitance entry", p)
 		}
 	}
+	var unknown []string
 	for p := range c.PinCap {
 		if !inSet[p] {
-			rep.add("LIB-PINSET", where, "capacitance entry for unknown pin %q", p)
+			unknown = append(unknown, p)
 		}
+	}
+	sort.Strings(unknown)
+	for _, p := range unknown {
+		rep.add("LIB-PINSET", where, "capacitance entry for unknown pin %q", p)
 	}
 
 	// LIB-CAP: physical quantities must be positive.

@@ -49,6 +49,7 @@ func (s *Severity) UnmarshalJSON(b []byte) error {
 	if err := json.Unmarshal(b, &name); err != nil {
 		return err
 	}
+	//tmi3dvet:ordered lookup by name: severity names are unique, so at most one entry matches
 	for sev, n := range severityNames {
 		if n == name {
 			*s = sev

@@ -272,6 +272,45 @@ func TestLibraryRules(t *testing.T) {
 	}
 }
 
+// TestPinsetOrderDeterministic pins the LIB-PINSET report order: the
+// foreign pins of one instance, and the unknown capacitance entries of one
+// cell, are reported in sorted pin order on every run, not in map order.
+func TestPinsetOrderDeterministic(t *testing.T) {
+	wantDesign := []string{
+		`pin "P" is not a port of function "XOR2"`,
+		`pin "Q" is not a port of function "XOR2"`,
+		`pin "R" is not a port of function "XOR2"`,
+	}
+	wantLib := []string{
+		`capacitance entry for unknown pin "P"`,
+		`capacitance entry for unknown pin "Q"`,
+		`capacitance entry for unknown pin "R"`,
+	}
+	messages := func(rep *Report) []string {
+		var out []string
+		for _, d := range rep.ByRule("LIB-PINSET") {
+			out = append(out, d.Message)
+		}
+		return out
+	}
+	for run := 0; run < 50; run++ {
+		d := cleanDesign()
+		c := libCell()
+		for _, pin := range []string{"R", "P", "Q"} {
+			d.Instances[0].Pins[pin] = d.Instances[0].Pins["Z"]
+			c.PinCap[pin] = 1
+		}
+		if got := messages(CheckDesign(d, DesignOptions{})); strings.Join(got, "\n") != strings.Join(wantDesign, "\n") {
+			t.Fatalf("run %d: design LIB-PINSET order %q, want %q", run, got, wantDesign)
+		}
+		lib := &liberty.Library{Node: tech.N45, Mode: tech.Mode2D, VDD: 1.1,
+			Cells: map[string]*liberty.Cell{c.Name: c}}
+		if got := messages(CheckLibrary(lib)); strings.Join(got, "\n") != strings.Join(wantLib, "\n") {
+			t.Fatalf("run %d: library LIB-PINSET order %q, want %q", run, got, wantLib)
+		}
+	}
+}
+
 // TestLayoutRules mutates generated layouts to trip each layout rule.
 func TestLayoutRules(t *testing.T) {
 	def, ok := cellgen.Template("NAND2")

@@ -327,14 +327,7 @@ func sortedKeys(m map[string]int) []string {
 }
 
 // SortedPIs returns primary input names, sorted (deterministic iteration).
-func (d *Design) SortedPIs() []string {
-	out := make([]string, 0, len(d.PIs))
-	for k := range d.PIs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+func (d *Design) SortedPIs() []string { return sortedKeys(d.PIs) }
 
 // SortedPOs returns primary output names, sorted (deterministic iteration).
 func (d *Design) SortedPOs() []string { return sortedKeys(d.POs) }

@@ -68,26 +68,13 @@ func ParseConfig(q url.Values) (flow.Config, error) {
 		return cfg, err
 	}
 
-	seen["node"] = true
-	switch q.Get("node") {
-	case "", "45", "45nm":
-		cfg.Node = tech.N45
-	case "7", "7nm":
-		cfg.Node = tech.N7
-	default:
-		return cfg, fmt.Errorf("unknown node %q (45 or 7)", q.Get("node"))
+	seen["node"], seen["mode"] = true, true
+	var err error
+	if cfg.Node, err = tech.ParseNode(q.Get("node")); err != nil {
+		return cfg, err
 	}
-
-	seen["mode"] = true
-	switch strings.ToLower(q.Get("mode")) {
-	case "", "2d":
-		cfg.Mode = tech.Mode2D
-	case "tmi", "3d":
-		cfg.Mode = tech.ModeTMI
-	case "tmim", "3d+m":
-		cfg.Mode = tech.ModeTMIM
-	default:
-		return cfg, fmt.Errorf("unknown mode %q (2d, tmi or tmim)", q.Get("mode"))
+	if cfg.Mode, err = tech.ParseMode(q.Get("mode")); err != nil {
+		return cfg, err
 	}
 
 	if err := getf("clock", &cfg.ClockPs); err != nil {

@@ -11,7 +11,10 @@
 // the generated values land on the unit R/C the paper reports in Section 5.
 package tech
 
-import "fmt"
+import (
+	"fmt"
+	"strings"
+)
 
 // Node identifies a process node.
 type Node int
@@ -54,6 +57,33 @@ func (m Mode) String() string {
 	default:
 		return fmt.Sprintf("Mode(%d)", int(m))
 	}
+}
+
+// ParseNode reads a process node as every front door spells it: "45" or
+// "45nm" (also the empty default) and "7" or "7nm". Anything else is an
+// error, never a silent fall back to the default node.
+func ParseNode(s string) (Node, error) {
+	switch s {
+	case "", "45", "45nm":
+		return N45, nil
+	case "7", "7nm":
+		return N7, nil
+	}
+	return N45, fmt.Errorf("unknown node %q (45 or 7)", s)
+}
+
+// ParseMode reads a design style, case-insensitively: "2d" (also the empty
+// default), "tmi" or "3d", and "tmim" or "3d+m". Anything else is an error.
+func ParseMode(s string) (Mode, error) {
+	switch strings.ToLower(s) {
+	case "", "2d":
+		return Mode2D, nil
+	case "tmi", "3d":
+		return ModeTMI, nil
+	case "tmim", "3d+m":
+		return ModeTMIM, nil
+	}
+	return Mode2D, fmt.Errorf("unknown mode %q (2d, tmi or tmim)", s)
 }
 
 // Is3D reports whether the mode uses two device tiers.

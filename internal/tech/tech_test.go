@@ -218,3 +218,39 @@ func TestStringers(t *testing.T) {
 		}
 	}
 }
+
+// TestParseNodeMode pins the one spelling table every front door (the CLI
+// flags, loadgen and the daemon's query parser) reads node and mode through:
+// each accepted spelling, and rejection — never a silent default — of the
+// rest.
+func TestParseNodeMode(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Node
+		ok   bool
+	}{
+		{"", N45, true}, {"45", N45, true}, {"45nm", N45, true},
+		{"7", N7, true}, {"7nm", N7, true},
+		{"7NM", 0, false}, {"14", 0, false}, {"45 ", 0, false}, {"n7", 0, false},
+	} {
+		got, err := ParseNode(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseNode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+	for _, tc := range []struct {
+		in   string
+		want Mode
+		ok   bool
+	}{
+		{"", Mode2D, true}, {"2d", Mode2D, true}, {"2D", Mode2D, true},
+		{"tmi", ModeTMI, true}, {"3d", ModeTMI, true}, {"TMI", ModeTMI, true},
+		{"tmim", ModeTMIM, true}, {"3d+m", ModeTMIM, true}, {"3D+M", ModeTMIM, true},
+		{"tmj", 0, false}, {"t-mi", 0, false}, {"3dm", 0, false}, {"2d ", 0, false},
+	} {
+		got, err := ParseMode(tc.in)
+		if (err == nil) != tc.ok || (tc.ok && got != tc.want) {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, ok=%v", tc.in, got, err, tc.want, tc.ok)
+		}
+	}
+}

@@ -53,20 +53,14 @@ func runCtxDisc(p *Pass) {
 		return
 	}
 	sup := collectSuppressions(p, "ctxdisc")
-	io := newIOSummary(p.Mod)
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkCtxFunc(p, sup, fd)
-			checkTimers(p, sup, fd)
-			checkHandles(p, sup, fd)
-			checkLockHeldIO(p, sup, io, fd)
-		}
+	io := &ioSummary{mod: p.Mod, memo: map[*types.Func]bool{}, walking: map[*types.Func]bool{}}
+	for _, fd := range p.Pkg.Funcs {
+		checkCtxFunc(p, sup, fd.Decl)
+		checkTimers(p, sup, fd.Decl)
+		checkHandles(p, sup, fd.Decl)
+		checkLockHeldIO(p, sup, io, fd.Decl)
 	}
-	sup.reportStale(p, "cancellation/resource finding")
+	sup.reportStale("cancellation/resource finding")
 }
 
 func isContextType(t types.Type) bool {
@@ -122,26 +116,25 @@ func checkCtxFunc(p *Pass, sup *suppressions, fd *ast.FuncDecl) {
 	})
 	for _, v := range ctxParams {
 		if !used[v] && v.Name() != "_" {
-			reportc(p, sup, v.Pos(), "%s accepts a context.Context it never uses: callers believe cancellation propagates and it silently stops here — thread %s to the blocking calls or drop the parameter", fd.Name.Name, v.Name())
+			sup.report(v.Pos(), "%s accepts a context.Context it never uses: callers believe cancellation propagates and it silently stops here — thread %s to the blocking calls or drop the parameter", fd.Name.Name, v.Name())
 		}
 	}
 
-	bodies := funcBodies(p)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.GoStmt:
 			var body *ast.BlockStmt
 			if lit, ok := n.Call.Fun.(*ast.FuncLit); ok {
 				body = lit.Body
-			} else if callee := staticCalleeOf(p, n.Call); callee != nil && callee.Pkg() == p.Pkg.Types {
-				body = bodies[callee]
+			} else if callee := staticCallee(p.Pkg.Info, n.Call); callee != nil {
+				body = p.Pkg.Body(callee)
 			}
 			if body != nil && !hasCancelPath(p, body) {
-				reportc(p, sup, n.Pos(), "goroutine has no cancellation path: no context, channel operation, select, or WaitGroup in its body — nothing a drain or shutdown can reach; thread a ctx or a done channel")
+				sup.report(n.Pos(), "goroutine has no cancellation path: no context, channel operation, select, or WaitGroup in its body — nothing a drain or shutdown can reach; thread a ctx or a done channel")
 			}
 		case *ast.CallExpr:
 			if path, name, ok := pkgFuncCall(p.Pkg, n); ok && path == "time" && name == "Sleep" && len(ctxParams) > 0 {
-				reportc(p, sup, n.Pos(), "time.Sleep in context-bearing %s ignores cancellation: the caller's deadline passes and this keeps sleeping — select on a timer and ctx.Done() instead", fd.Name.Name)
+				sup.report(n.Pos(), "time.Sleep in context-bearing %s ignores cancellation: the caller's deadline passes and this keeps sleeping — select on a timer and ctx.Done() instead", fd.Name.Name)
 			}
 		}
 		return true
@@ -181,14 +174,6 @@ func hasCancelPath(p *Pass, body *ast.BlockStmt) bool {
 	return found
 }
 
-// reportc reports unless a //tmi3dvet:ctxdisc suppression covers the site.
-func reportc(p *Pass, sup *suppressions, pos token.Pos, format string, args ...any) {
-	if s := sup.at(p, pos); s != nil {
-		return
-	}
-	p.Reportf(pos, format, args...)
-}
-
 // checkTimers flags time.After in loops and NewTimer/NewTicker values that
 // are never stopped.
 func checkTimers(p *Pass, sup *suppressions, fd *ast.FuncDecl) {
@@ -202,7 +187,7 @@ func checkTimers(p *Pass, sup *suppressions, fd *ast.FuncDecl) {
 		switch n := n.(type) {
 		case *ast.CallExpr:
 			if path, name, ok := pkgFuncCall(p.Pkg, n); ok && path == "time" && name == "After" && enclosingLoop(stack) != nil {
-				reportc(p, sup, n.Pos(), "time.After inside a loop allocates an unstoppable timer every iteration: under sustained load that is an unbounded leak until each duration expires — hoist one time.NewTimer and Reset it")
+				sup.report(n.Pos(), "time.After inside a loop allocates an unstoppable timer every iteration: under sustained load that is an unbounded leak until each duration expires — hoist one time.NewTimer and Reset it")
 			}
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
@@ -225,7 +210,7 @@ func checkTimers(p *Pass, sup *suppressions, fd *ast.FuncDecl) {
 				if obj == nil || timerStoppedOrEscapes(p, fd, obj) {
 					continue
 				}
-				reportc(p, sup, call.Pos(), "time.%s result %s is never stopped in %s: the timer fires into a dead channel and holds its runtime entry — defer %s.Stop()", name, id.Name, fd.Name.Name, id.Name)
+				sup.report(call.Pos(), "time.%s result %s is never stopped in %s: the timer fires into a dead channel and holds its runtime entry — defer %s.Stop()", name, id.Name, fd.Name.Name, id.Name)
 			}
 		}
 		return true
@@ -346,7 +331,7 @@ func reportLeaks(p *Pass, sup *suppressions, held, base heldHandles, at token.Po
 		}
 		*h.reported = true
 		line := p.Mod.Fset.Position(at).Line
-		reportc(p, sup, h.pos, "%s from %s is not closed on the path reaching %s (line %d): under load each miss pins a connection or descriptor — close it on every path, including error branches", h.kind, h.what, exit, line)
+		sup.report(h.pos, "%s from %s is not closed on the path reaching %s (line %d): under load each miss pins a connection or descriptor — close it on every path, including error branches", h.kind, h.what, exit, line)
 	}
 }
 
@@ -652,41 +637,12 @@ func isTerminatingCall(p *Pass, e ast.Expr) bool {
 
 // ---- lock-held I/O ------------------------------------------------------
 
-// funcBody pairs a function body with the package whose type info resolves
-// its expressions.
-type funcBody struct {
-	body *ast.BlockStmt
-	pkg  *Package
-}
-
 // ioSummary is a module-wide, memoized does-this-function-touch-disk-or-
 // network summary.
 type ioSummary struct {
-	bodies  map[*types.Func]funcBody
+	mod     *Module
 	memo    map[*types.Func]bool
 	walking map[*types.Func]bool // cycle guard: recursion resolves to false
-}
-
-func newIOSummary(mod *Module) *ioSummary {
-	io := &ioSummary{
-		bodies:  map[*types.Func]funcBody{},
-		memo:    map[*types.Func]bool{},
-		walking: map[*types.Func]bool{},
-	}
-	for _, pkg := range mod.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				fd, ok := decl.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if fn, ok := pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					io.bodies[fn] = funcBody{body: fd.Body, pkg: pkg}
-				}
-			}
-		}
-	}
-	return io
 }
 
 // ioPure names stdlib calls in the I/O packages that never block on disk or
@@ -734,25 +690,6 @@ func ioPrimitive(pkg *Package, call *ast.CallExpr) (string, bool) {
 	return f.Name(), true
 }
 
-// pkgStaticCallee is staticCalleeOf for an arbitrary module package.
-func pkgStaticCallee(pkg *Package, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		if f, ok := pkg.Info.Uses[fun].(*types.Func); ok {
-			return f
-		}
-	case *ast.SelectorExpr:
-		if s := pkg.Info.Selections[fun]; s != nil {
-			f, _ := s.Obj().(*types.Func)
-			return f
-		}
-		if f, ok := pkg.Info.Uses[fun.Sel].(*types.Func); ok {
-			return f
-		}
-	}
-	return nil
-}
-
 // doesIO reports whether fn (transitively through module-local callees)
 // performs blocking disk or network I/O.
 func (io *ioSummary) doesIO(fn *types.Func) bool {
@@ -762,20 +699,20 @@ func (io *ioSummary) doesIO(fn *types.Func) bool {
 	if io.walking[fn] {
 		return false
 	}
-	fb, ok := io.bodies[fn]
+	pkg, body, ok := io.mod.declOf(fn)
 	if !ok {
 		return false // no body in this module: interface or stdlib, not summarized
 	}
 	io.walking[fn] = true
 	result := false
-	ast.Inspect(fb.body, func(n ast.Node) bool {
+	ast.Inspect(body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return !result
 		}
-		if _, isIO := ioPrimitive(fb.pkg, call); isIO {
+		if _, isIO := ioPrimitive(pkg, call); isIO {
 			result = true
-		} else if callee := pkgStaticCallee(fb.pkg, call); callee != nil && io.doesIO(callee) {
+		} else if callee := staticCallee(pkg.Info, call); callee != nil && io.doesIO(callee) {
 			result = true
 		}
 		return !result
@@ -885,7 +822,7 @@ func lockCheckCalls(p *Pass, sup *suppressions, io *ioSummary, node ast.Node, he
 		if !ok {
 			return true
 		}
-		if typ, method, base, ok := syncCall(p, call); ok && (typ == "Mutex" || typ == "RWMutex") {
+		if typ, method, base, ok := syncCall(p, call); ok && isMutex(typ) {
 			key := types.ExprString(base)
 			switch method {
 			case "Lock", "RLock":
@@ -900,7 +837,7 @@ func lockCheckCalls(p *Pass, sup *suppressions, io *ioSummary, node ast.Node, he
 		}
 		what, isIO := ioPrimitive(p.Pkg, call)
 		if !isIO {
-			if callee := pkgStaticCallee(p.Pkg, call); callee != nil && io.doesIO(callee) {
+			if callee := staticCallee(p.Pkg.Info, call); callee != nil && io.doesIO(callee) {
 				what, isIO = callee.Name(), true
 			}
 		}
@@ -912,7 +849,7 @@ func lockCheckCalls(p *Pass, sup *suppressions, io *ioSummary, node ast.Node, he
 					lock, lockPos = k, pos
 				}
 			}
-			reportc(p, sup, call.Pos(), "blocking I/O (%s) while holding %s (locked at line %d): every other goroutine contending for the lock stalls behind the disk or network — release before the call or move the I/O out", what, lock, p.Mod.Fset.Position(lockPos).Line)
+			sup.report(call.Pos(), "blocking I/O (%s) while holding %s (locked at line %d): every other goroutine contending for the lock stalls behind the disk or network — release before the call or move the I/O out", what, lock, p.Mod.Fset.Position(lockPos).Line)
 		}
 		return true
 	})

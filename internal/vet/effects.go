@@ -44,7 +44,6 @@ const recvIndex = -1
 type effects struct {
 	pass    *Pass
 	cfgType *types.Named // nil when the package declares no Config struct
-	bodies  map[*types.Func]*ast.BlockStmt
 	memo    map[*types.Func]*fnEffects
 	visit   map[*types.Func]bool
 }
@@ -53,7 +52,6 @@ func newEffects(p *Pass, cfgType *types.Named) *effects {
 	return &effects{
 		pass:    p,
 		cfgType: cfgType,
-		bodies:  funcBodies(p),
 		memo:    map[*types.Func]*fnEffects{},
 		visit:   map[*types.Func]bool{},
 	}
@@ -68,7 +66,7 @@ func (s *effects) summarize(fn *types.Func) *fnEffects {
 	if s.visit[fn] {
 		return nil
 	}
-	body := s.bodies[fn]
+	body := s.pass.Pkg.Body(fn)
 	if body == nil {
 		return nil
 	}
@@ -154,7 +152,7 @@ func (s *effects) summarizeCall(sum *fnEffects, fn *types.Func, call *ast.CallEx
 		sum.rand = true
 		return
 	}
-	callee := staticCalleeOf(p, call)
+	callee := staticCallee(p.Pkg.Info, call)
 	if callee == nil || callee.Pkg() != p.Pkg.Types || callee == fn {
 		return
 	}
@@ -279,38 +277,4 @@ func pointerShaped(t types.Type) bool {
 func isParamOrRecv(fn *types.Func, v *types.Var) bool {
 	_, ok := paramIndex(fn, v)
 	return ok
-}
-
-// funcBodies maps every function and method declared in the package to its
-// body.
-func funcBodies(p *Pass) map[*types.Func]*ast.BlockStmt {
-	bodies := map[*types.Func]*ast.BlockStmt{}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				if fn, ok := p.Pkg.Info.Defs[fd.Name].(*types.Func); ok {
-					bodies[fn] = fd.Body
-				}
-			}
-		}
-	}
-	return bodies
-}
-
-// staticCalleeOf resolves a call to the function or method it statically
-// names, or nil for calls through function values.
-func staticCalleeOf(p *Pass, call *ast.CallExpr) *types.Func {
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		f, _ := p.ObjectOf(fun).(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		if sel := p.Pkg.Info.Selections[fun]; sel != nil {
-			f, _ := sel.Obj().(*types.Func)
-			return f
-		}
-		f, _ := p.ObjectOf(fun.Sel).(*types.Func)
-		return f
-	}
-	return nil
 }

@@ -45,36 +45,24 @@ func runGlobalMut(p *Pass) {
 		switch info.class {
 		case gcMutable:
 			for _, w := range info.badWrites {
-				if sup.at(p, w.pos) != nil {
-					continue
-				}
-				p.Reportf(w.pos, "package-level %s written after initialization: mutable global state couples flow runs; make it key-addressed behind a sync.Once (the liberty.Default shape) or annotate //tmi3dvet:global <reason>", v.Name())
+				sup.report(w.pos, "package-level %s written after initialization: mutable global state couples flow runs; make it key-addressed behind a sync.Once (the liberty.Default shape) or annotate //tmi3dvet:global <reason>", v.Name())
 			}
 			for _, r := range info.reads {
-				if sup.at(p, r.pos) != nil {
-					continue
-				}
-				p.Reportf(r.pos, "read of mutable package-level %s: its value depends on which flows ran before, so results are not a function of Config; make it key-addressed or annotate //tmi3dvet:global <reason>", v.Name())
+				sup.report(r.pos, "read of mutable package-level %s: its value depends on which flows ran before, so results are not a function of Config; make it key-addressed or annotate //tmi3dvet:global <reason>", v.Name())
 			}
 		case gcOncePublished:
 			for _, r := range info.reads {
 				if r.inDoLit || (r.fn != nil && gs.fnFacts[r.fn].callsOnceDo) {
 					continue
 				}
-				if sup.at(p, r.pos) != nil {
-					continue
-				}
-				p.Reportf(r.pos, "read of once-published %s in a function that never synchronizes on its sync.Once: the read can observe the unpublished zero value; call the Once.Do accessor instead or annotate //tmi3dvet:global <reason>", v.Name())
+				sup.report(r.pos, "read of once-published %s in a function that never synchronizes on its sync.Once: the read can observe the unpublished zero value; call the Once.Do accessor instead or annotate //tmi3dvet:global <reason>", v.Name())
 			}
 		case gcGuardedMap:
 			for _, r := range info.reads {
 				if r.fn != nil && gs.fnFacts[r.fn].locksMutex {
 					continue
 				}
-				if sup.at(p, r.pos) != nil {
-					continue
-				}
-				p.Reportf(r.pos, "read of once-cell map %s outside a mutex-holding function: unsynchronized map access races with entry insertion; access it through the locked accessor or annotate //tmi3dvet:global <reason>", v.Name())
+				sup.report(r.pos, "read of once-cell map %s outside a mutex-holding function: unsynchronized map access races with entry insertion; access it through the locked accessor or annotate //tmi3dvet:global <reason>", v.Name())
 			}
 		}
 	}
@@ -88,19 +76,13 @@ func runGlobalMut(p *Pass) {
 			if a.inDoLit {
 				continue
 			}
-			if sup.at(p, a.pos) != nil {
-				continue
-			}
-			p.Reportf(a.pos, "field %s of once-cell %s written outside its sync.Once.Do: a cache entry mutated after publication silently couples every config sharing it; move the write into the Do callback or annotate //tmi3dvet:global <reason>", a.field, a.typeName)
+			sup.report(a.pos, "field %s of once-cell %s written outside its sync.Once.Do: a cache entry mutated after publication silently couples every config sharing it; move the write into the Do callback or annotate //tmi3dvet:global <reason>", a.field, a.typeName)
 			continue
 		}
 		if a.inDoLit || (a.fn != nil && gs.fnFacts[a.fn].callsOnceDo) {
 			continue
 		}
-		if sup.at(p, a.pos) != nil {
-			continue
-		}
-		p.Reportf(a.pos, "read of once-cell field %s.%s in a function that never calls a sync.Once.Do: the payload may not be published yet; read it behind the entry's Once or annotate //tmi3dvet:global <reason>", a.typeName, a.field)
+		sup.report(a.pos, "read of once-cell field %s.%s in a function that never calls a sync.Once.Do: the payload may not be published yet; read it behind the entry's Once or annotate //tmi3dvet:global <reason>", a.typeName, a.field)
 	}
-	sup.reportStale(p, "mutable global access")
+	sup.reportStale("mutable global access")
 }

@@ -128,31 +128,22 @@ func classifyGlobals(p *Pass) *globalState {
 			continue
 		}
 		info := &globalInfo{v: v}
-		if isSyncPrimitive(v.Type()) {
-			info.class = gcSync
+		switch syncTypeName(v.Type()) {
+		case "Mutex", "RWMutex", "Once", "WaitGroup":
+			info.class = gcSync // pure synchronization, no result-bearing payload
 		}
 		gs.vars[v] = info
 		gs.order = append(gs.order, v)
 	}
 	gs.findOnceCells()
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			gs.fnFacts[fd] = syncFactsOf(p, fd.Body)
-		}
+	for _, fd := range p.Pkg.Funcs {
+		gs.fnFacts[fd.Decl] = syncFactsOf(p, fd.Decl.Body)
 	}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || fd.Name.Name == "init" {
-				// init-time writes are initialization: they run before any
-				// flow and in a deterministic order.
-				continue
-			}
-			gs.walk(fd.Body, &globalAccess{fn: fd})
+	for _, fd := range p.Pkg.Funcs {
+		// init-time writes are initialization: they run before any flow and
+		// in a deterministic order.
+		if fd.Decl.Name.Name != "init" {
+			gs.walk(fd.Decl.Body, &globalAccess{fn: fd.Decl})
 		}
 	}
 	gs.finalize()
@@ -177,7 +168,7 @@ func (gs *globalState) findOnceCells() {
 			continue
 		}
 		for i := 0; i < st.NumFields(); i++ {
-			if isSyncNamed(st.Field(i).Type(), "Once") {
+			if syncTypeName(st.Field(i).Type()) == "Once" {
 				gs.onceCells[named] = st.Field(i)
 				break
 			}
@@ -383,27 +374,14 @@ func (gs *globalState) finalize() {
 func syncFactsOf(p *Pass, body *ast.BlockStmt) fnSyncFacts {
 	var facts fnSyncFacts
 	ast.Inspect(body, func(n ast.Node) bool {
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		m := methodObjOf(p, sel)
-		if m == nil || m.Pkg() == nil || m.Pkg().Path() != "sync" {
-			return true
-		}
-		recv := m.Type().(*types.Signature).Recv()
-		if recv == nil {
-			return true
-		}
-		switch {
-		case isMutexType(recv.Type()) && (sel.Sel.Name == "Lock" || sel.Sel.Name == "RLock"):
-			facts.locksMutex = true
-		case isSyncNamed(recv.Type(), "Once") && sel.Sel.Name == "Do":
-			facts.callsOnceDo = true
+		if call, ok := n.(*ast.CallExpr); ok {
+			typ, method, _, _ := syncCall(p, call)
+			switch {
+			case isMutex(typ) && (method == "Lock" || method == "RLock"):
+				facts.locksMutex = true
+			case typ == "Once" && method == "Do":
+				facts.callsOnceDo = true
+			}
 		}
 		return true
 	})
@@ -412,50 +390,6 @@ func syncFactsOf(p *Pass, body *ast.BlockStmt) fnSyncFacts {
 
 // isOnceDoCall recognizes <expr>.Do(...) on a sync.Once.
 func isOnceDoCall(p *Pass, call *ast.CallExpr) bool {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok || sel.Sel.Name != "Do" {
-		return false
-	}
-	m := methodObjOf(p, sel)
-	if m == nil || m.Pkg() == nil || m.Pkg().Path() != "sync" {
-		return false
-	}
-	recv := m.Type().(*types.Signature).Recv()
-	return recv != nil && isSyncNamed(recv.Type(), "Once")
-}
-
-func methodObjOf(p *Pass, sel *ast.SelectorExpr) *types.Func {
-	if selection := p.Pkg.Info.Selections[sel]; selection != nil {
-		m, _ := selection.Obj().(*types.Func)
-		return m
-	}
-	m, _ := p.ObjectOf(sel.Sel).(*types.Func)
-	return m
-}
-
-func isSyncNamed(t types.Type, name string) bool {
-	n, ok := derefType(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	o := n.Obj()
-	return o.Pkg() != nil && o.Pkg().Path() == "sync" && o.Name() == name
-}
-
-// isSyncPrimitive reports whether the type is pure synchronization (no
-// result-bearing payload).
-func isSyncPrimitive(t types.Type) bool {
-	n, ok := derefType(t).(*types.Named)
-	if !ok {
-		return false
-	}
-	o := n.Obj()
-	if o.Pkg() == nil || o.Pkg().Path() != "sync" {
-		return false
-	}
-	switch o.Name() {
-	case "Mutex", "RWMutex", "Once", "WaitGroup":
-		return true
-	}
-	return false
+	typ, method, _, _ := syncCall(p, call)
+	return typ == "Once" && method == "Do"
 }

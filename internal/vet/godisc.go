@@ -48,51 +48,10 @@ var GoDisc = &Analyzer{
 
 func runGoDisc(p *Pass) {
 	sup := collectSuppressions(p, "godisc")
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkGoFunc(p, sup, fd)
-		}
+	for _, fd := range p.Pkg.Funcs {
+		checkGoFunc(p, sup, fd.Decl)
 	}
-	sup.reportStale(p, "goroutine-discipline finding")
-}
-
-// reportg reports unless a //tmi3dvet:godisc suppression covers the site.
-func reportg(p *Pass, sup *suppressions, pos token.Pos, format string, args ...any) {
-	if s := sup.at(p, pos); s != nil {
-		return
-	}
-	p.Reportf(pos, format, args...)
-}
-
-// syncCall resolves a call on a sync primitive: the receiver's type name
-// (WaitGroup, Mutex, RWMutex, Once, ...), the method, and the receiver
-// expression. Promoted methods on embedded primitives resolve too.
-func syncCall(p *Pass, call *ast.CallExpr) (typ, method string, base ast.Expr, ok bool) {
-	sel, isSel := call.Fun.(*ast.SelectorExpr)
-	if !isSel {
-		return "", "", nil, false
-	}
-	s := p.Pkg.Info.Selections[sel]
-	if s == nil {
-		return "", "", nil, false
-	}
-	f, isFn := s.Obj().(*types.Func)
-	if !isFn || f.Pkg() == nil || f.Pkg().Path() != "sync" {
-		return "", "", nil, false
-	}
-	sig, isSig := f.Type().(*types.Signature)
-	if !isSig || sig.Recv() == nil {
-		return "", "", nil, false
-	}
-	named, isNamed := derefType(sig.Recv().Type()).(*types.Named)
-	if !isNamed {
-		return "", "", nil, false
-	}
-	return named.Obj().Name(), f.Name(), sel.X, true
+	sup.reportStale("goroutine-discipline finding")
 }
 
 // checkGoFunc runs all five checks over one function body.
@@ -146,12 +105,12 @@ func checkGoFunc(p *Pass, sup *suppressions, fd *ast.FuncDecl) {
 			continue
 		}
 		if c.spawned {
-			reportg(p, sup, c.call.Pos(), "WaitGroup.Add inside the spawned goroutine races Wait: the counter can reach zero before this runs — Add before the go statement")
+			sup.report(c.call.Pos(), "WaitGroup.Add inside the spawned goroutine races Wait: the counter can reach zero before this runs — Add before the go statement")
 			continue
 		}
 		for _, w := range wgCalls {
 			if w.method == "Wait" && w.obj != nil && w.obj == c.obj && w.call.Pos() < c.call.Pos() {
-				reportg(p, sup, c.call.Pos(), "WaitGroup.Add after Wait on the same WaitGroup: Wait may have already released — restructure so every Add precedes the Wait")
+				sup.report(c.call.Pos(), "WaitGroup.Add after Wait on the same WaitGroup: Wait may have already released — restructure so every Add precedes the Wait")
 				break
 			}
 		}
@@ -186,7 +145,7 @@ func checkSpawn(p *Pass, sup *suppressions, fd *ast.FuncDecl, g *ast.GoStmt, loo
 			_, overChan = t.Underlying().(*types.Chan)
 		}
 		if !overChan && !containsChanOp(rl.Body) {
-			reportg(p, sup, g.Pos(), "goroutine per range element with no semaphore or pool in the loop: unbounded spawn — throttle with a buffered-channel semaphore (the core.RunAll shape) or a fixed worker pool")
+			sup.report(g.Pos(), "goroutine per range element with no semaphore or pool in the loop: unbounded spawn — throttle with a buffered-channel semaphore (the core.RunAll shape) or a fixed worker pool")
 		}
 	}
 	if lit == nil {
@@ -237,7 +196,7 @@ func checkSpawn(p *Pass, sup *suppressions, fd *ast.FuncDecl, g *ast.GoStmt, loo
 		if !madeUnbuffered(p, fd, v) || chanEscapes(p, fd, v) || receivedIn(p, fd, lit, v) {
 			return true
 		}
-		reportg(p, sup, send.Pos(), "goroutine sends on unbuffered %s but %s never receives: if the receive path bails first the goroutine blocks forever — buffer the channel (cap 1) or guarantee the receive", v.Name(), fd.Name.Name)
+		sup.report(send.Pos(), "goroutine sends on unbuffered %s but %s never receives: if the receive path bails first the goroutine blocks forever — buffer the channel (cap 1) or guarantee the receive", v.Name(), fd.Name.Name)
 		return true
 	})
 }
@@ -275,7 +234,7 @@ func checkStaleCapture(p *Pass, sup *suppressions, pos token.Pos, kind string, l
 			return true
 		}
 		seen[v] = true
-		reportg(p, sup, pos, "%s closure captures %s, which the loop body reassigns: the closure observes the last value, not this iteration's — pass it as an argument or declare it inside the loop", kind, v.Name())
+		sup.report(pos, "%s closure captures %s, which the loop body reassigns: the closure observes the last value, not this iteration's — pass it as an argument or declare it inside the loop", kind, v.Name())
 		return true
 	})
 }
@@ -283,43 +242,20 @@ func checkStaleCapture(p *Pass, sup *suppressions, pos token.Pos, kind string, l
 // checkSharedWrite flags one write inside a spawned closure whose target is
 // rooted outside the closure and not partitioned by a closure-local index.
 func checkSharedWrite(p *Pass, sup *suppressions, lit *ast.FuncLit, target ast.Expr, seen map[types.Object]bool) {
+	// closureLocal: a parameter or local of lit, private to one spawn.
+	closureLocal := func(obj types.Object) bool {
+		v, isVar := obj.(*types.Var)
+		return isVar && v.Pos() > lit.Pos() && v.Pos() < lit.End()
+	}
 	v, ok := rootObj(p, unwrapWriteTarget(target)).(*types.Var)
-	if !ok || seen[v] {
+	if !ok || seen[v] || closureLocal(v) {
 		return
 	}
-	if v.Pos() > lit.Pos() && v.Pos() < lit.End() {
-		return // closure-local
-	}
-	if indexedByClosureLocal(p, lit, target) {
+	if indexMentions(p, target, closureLocal) {
 		return // res[i] with i a closure parameter: per-spawn partition
 	}
 	seen[v] = true
-	reportg(p, sup, target.Pos(), "goroutine closure writes captured %s with no lock in the closure: spawned per iteration, these writes race — guard with a mutex or partition by a per-spawn index", v.Name())
-}
-
-// indexedByClosureLocal reports whether an index on the target's access path
-// is a closure-local value (parameter or local of lit) — each spawn gets its
-// own element.
-func indexedByClosureLocal(p *Pass, lit *ast.FuncLit, target ast.Expr) bool {
-	found := false
-	ast.Inspect(target, func(n ast.Node) bool {
-		ix, ok := n.(*ast.IndexExpr)
-		if !ok {
-			return true
-		}
-		ast.Inspect(ix.Index, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok {
-				if v, isVar := p.Pkg.Info.Uses[id].(*types.Var); isVar {
-					if v.Pos() > lit.Pos() && v.Pos() < lit.End() {
-						found = true
-					}
-				}
-			}
-			return true
-		})
-		return true
-	})
-	return found
+	sup.report(target.Pos(), "goroutine closure writes captured %s with no lock in the closure: spawned per iteration, these writes race — guard with a mutex or partition by a per-spawn index", v.Name())
 }
 
 func loopBody(loop ast.Stmt) *ast.BlockStmt {
@@ -387,7 +323,7 @@ func containsLockCall(p *Pass, body *ast.BlockStmt) bool {
 			return true
 		}
 		if typ, method, _, ok := syncCall(p, call); ok {
-			if (typ == "Mutex" || typ == "RWMutex") && (method == "Lock" || method == "RLock") {
+			if isMutex(typ) && (method == "Lock" || method == "RLock") {
 				found = true
 			}
 		}

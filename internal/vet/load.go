@@ -20,6 +20,40 @@ type Package struct {
 	Files []*ast.File
 	Types *types.Package
 	Info  *types.Info
+	// Funcs is the package's function index: every function and method
+	// declaration with a body, in file and declaration order, paired with
+	// its object. Analyzers walk it instead of re-scanning Files.
+	Funcs  []FuncDecl
+	bodies map[*types.Func]*ast.BlockStmt
+}
+
+// FuncDecl is one declared function or method with a body. Obj is nil only
+// when the type checker defined no function object for the name.
+type FuncDecl struct {
+	Decl *ast.FuncDecl
+	Obj  *types.Func
+}
+
+// Body returns the body of fn when this package declares it, else nil — so
+// a summary built from Body stays within the package.
+func (p *Package) Body(fn *types.Func) *ast.BlockStmt { return p.bodies[fn] }
+
+// indexFuncs builds the function index once, at load time.
+func (p *Package) indexFuncs() {
+	p.bodies = map[*types.Func]*ast.BlockStmt{}
+	for _, f := range p.Files {
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Body == nil {
+				continue
+			}
+			fn, _ := p.Info.Defs[fd.Name].(*types.Func)
+			p.Funcs = append(p.Funcs, FuncDecl{Decl: fd, Obj: fn})
+			if fn != nil {
+				p.bodies[fn] = fd.Body
+			}
+		}
+	}
 }
 
 // Module is a fully loaded analysis target: every non-test package under the
@@ -31,6 +65,26 @@ type Module struct {
 	Root string // absolute module root
 	Fset *token.FileSet
 	Pkgs []*Package // sorted by import path
+
+	byTypes map[*types.Package]*Package
+}
+
+func newModule(path, root string, fset *token.FileSet, pkgs []*Package) *Module {
+	m := &Module{Path: path, Root: root, Fset: fset, Pkgs: pkgs, byTypes: map[*types.Package]*Package{}}
+	for _, pkg := range pkgs {
+		m.byTypes[pkg.Types] = pkg
+	}
+	return m
+}
+
+// declOf finds the module package declaring fn and fn's body there; ok is
+// false for functions without a body in the module (stdlib, interface
+// methods, instantiated generics).
+func (m *Module) declOf(fn *types.Func) (pkg *Package, body *ast.BlockStmt, ok bool) {
+	if pkg = m.byTypes[fn.Pkg()]; pkg != nil {
+		body = pkg.Body(fn)
+	}
+	return pkg, body, body != nil
 }
 
 // Load parses and type-checks every non-test package under root, which must
@@ -54,15 +108,15 @@ func Load(root string) (*Module, error) {
 		paths = append(paths, p)
 	}
 	sort.Strings(paths)
-	mod := &Module{Path: modPath, Root: root, Fset: l.fset}
+	var pkgs []*Package
 	for _, p := range paths {
 		pkg, err := l.check(p)
 		if err != nil {
 			return nil, err
 		}
-		mod.Pkgs = append(mod.Pkgs, pkg)
+		pkgs = append(pkgs, pkg)
 	}
-	return mod, nil
+	return newModule(modPath, root, l.fset, pkgs), nil
 }
 
 // LoadDir loads a single directory as one standalone package under the given
@@ -86,7 +140,7 @@ func LoadDir(dir, importPath string) (*Module, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Module{Path: importPath, Root: dir, Fset: l.fset, Pkgs: []*Package{pkg}}, nil
+	return newModule(importPath, dir, l.fset, []*Package{pkg}), nil
 }
 
 func modulePath(gomod string) (string, error) {
@@ -229,6 +283,7 @@ func (l *loader) check(path string) (*Package, error) {
 		return nil, fmt.Errorf("typecheck %s: %w", path, err)
 	}
 	p := &Package{Path: path, Dir: pp.dir, Files: pp.files, Types: tpkg, Info: info}
+	p.indexFuncs()
 	l.done[path] = p
 	return p, nil
 }

@@ -142,20 +142,13 @@ func runLockOrder(p *Pass) {
 	}
 	// Pass 1: per-function summaries, intraprocedural edges and recursive-
 	// acquisition reports, escaping-literal collection.
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			obj, _ := p.Pkg.Info.Defs[fd.Name].(*types.Func)
-			if obj == nil {
-				continue
-			}
-			sum := &fnSummary{acquires: map[types.Object]acqMode{}}
-			g.fns[obj] = sum
-			g.walkBody(sum, fd.Body, heldSet{})
+	for _, fd := range p.Pkg.Funcs {
+		if fd.Obj == nil {
+			continue
 		}
+		sum := &fnSummary{acquires: map[types.Object]acqMode{}}
+		g.fns[fd.Obj] = sum
+		g.walkBody(sum, fd.Decl.Body, heldSet{})
 	}
 	// Pass 2: transitive-acquires fixpoint over the static call graph; the
 	// escaping pool grows in the same fixpoint (an escaping literal may call
@@ -463,7 +456,7 @@ func (g *lockGraph) walkCall(sum *fnSummary, call *ast.CallExpr, held heldSet) {
 	if tv, ok := p.Pkg.Info.Types[call.Fun]; ok && (tv.IsBuiltin() || tv.IsType()) {
 		return
 	}
-	if callee := g.staticCallee(call); callee != nil {
+	if callee := staticCallee(p.Pkg.Info, call); callee != nil {
 		if callee.Pkg() == p.Pkg.Types {
 			sum.calls = append(sum.calls, callSite{callee: callee, held: held.clone(), pos: call.Pos()})
 		}
@@ -481,35 +474,18 @@ func (g *lockGraph) walkCall(sum *fnSummary, call *ast.CallExpr, held heldSet) {
 // mutexOp recognizes sync.Mutex / sync.RWMutex method calls and resolves the
 // abstract lock identity of the receiver.
 func (g *lockGraph) mutexOp(call *ast.CallExpr) (types.Object, string) {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
+	typ, name, base, ok := syncCall(g.pass, call)
+	if !ok || !isMutex(typ) {
 		return nil, ""
 	}
-	name := sel.Sel.Name
 	switch name {
 	case "Lock", "Unlock", "RLock", "RUnlock", "TryLock", "TryRLock":
 	default:
 		return nil, ""
 	}
 	name = strings.TrimPrefix(name, "Try")
-	p := g.pass
-	selection := p.Pkg.Info.Selections[sel]
-	var m *types.Func
-	if selection != nil {
-		m, _ = selection.Obj().(*types.Func)
-	}
-	if m == nil {
-		m, _ = p.ObjectOf(sel.Sel).(*types.Func)
-	}
-	if m == nil || m.Pkg() == nil || m.Pkg().Path() != "sync" {
-		return nil, ""
-	}
-	recv := m.Type().(*types.Signature).Recv()
-	if recv == nil || !isMutexType(recv.Type()) {
-		return nil, ""
-	}
 	// Embedded mutex: the promoted selection's field path names the lock.
-	if selection != nil {
+	if selection := g.pass.Pkg.Info.Selections[call.Fun.(*ast.SelectorExpr)]; selection != nil {
 		if idx := selection.Index(); len(idx) > 1 {
 			if f := fieldAt(selection.Recv(), idx[:len(idx)-1]); f != nil {
 				g.setName(f, typeName(selection.Recv())+"."+f.Name())
@@ -517,7 +493,7 @@ func (g *lockGraph) mutexOp(call *ast.CallExpr) (types.Object, string) {
 			}
 		}
 	}
-	return g.lockOf(sel.X), name
+	return g.lockOf(base), name
 }
 
 // lockOf resolves the receiver expression of a mutex method to an abstract
@@ -594,41 +570,6 @@ func fieldAt(t types.Type, index []int) *types.Var {
 		t = f.Type()
 	}
 	return f
-}
-
-func derefType(t types.Type) types.Type {
-	if p, ok := t.Underlying().(*types.Pointer); ok {
-		return p.Elem()
-	}
-	return t
-}
-
-func isMutexType(t types.Type) bool {
-	t = derefType(t)
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	o := n.Obj()
-	return o.Pkg() != nil && o.Pkg().Path() == "sync" &&
-		(o.Name() == "Mutex" || o.Name() == "RWMutex")
-}
-
-func (g *lockGraph) staticCallee(call *ast.CallExpr) *types.Func {
-	p := g.pass
-	switch fun := call.Fun.(type) {
-	case *ast.Ident:
-		f, _ := p.ObjectOf(fun).(*types.Func)
-		return f
-	case *ast.SelectorExpr:
-		if selection := p.Pkg.Info.Selections[fun]; selection != nil {
-			f, _ := selection.Obj().(*types.Func)
-			return f
-		}
-		f, _ := p.ObjectOf(fun.Sel).(*types.Func)
-		return f
-	}
-	return nil
 }
 
 // reportCycles finds each elementary cycle in the acquisition graph once,

@@ -45,7 +45,7 @@ func runMapOrder(p *Pass) {
 			return true
 		})
 	}
-	sup.reportStale(p, "map range")
+	sup.reportStale("map range")
 }
 
 // blockOf extracts a statement list context in which collect-then-sort can
@@ -78,8 +78,7 @@ func checkBlockMapRanges(p *Pass, sup *suppressions, stmts []ast.Stmt) {
 		if _, isMap := t.Underlying().(*types.Map); !isMap {
 			continue
 		}
-		s := sup.at(p, rs.For)
-		if s != nil {
+		if sup.at(rs.For) != nil {
 			continue // annotated site; reason enforcement happened at collect
 		}
 		scan := &mapBodyScan{pass: p, appended: map[types.Object]bool{}}
@@ -317,26 +316,6 @@ func (s *mapBodyScan) commutingUpdate(lhs ast.Expr, at ast.Stmt) bool {
 	}
 }
 
-// rootObj resolves the base identifier of an lvalue chain (a.b[i].c → a).
-func rootObj(p *Pass, e ast.Expr) types.Object {
-	for {
-		switch x := e.(type) {
-		case *ast.Ident:
-			return p.ObjectOf(x)
-		case *ast.SelectorExpr:
-			e = x.X
-		case *ast.IndexExpr:
-			e = x.X
-		case *ast.StarExpr:
-			e = x.X
-		case *ast.ParenExpr:
-			e = x.X
-		default:
-			return nil
-		}
-	}
-}
-
 func (s *mapBodyScan) isLocal(obj types.Object) bool {
 	if obj == nil {
 		return false
@@ -399,15 +378,6 @@ func isSortCallee(p *Pass, fun ast.Expr) bool {
 		return strings.Contains(strings.ToLower(fun.Name), "sort")
 	}
 	return false
-}
-
-func isBuiltin(p *Pass, call *ast.CallExpr, name string) bool {
-	id, ok := call.Fun.(*ast.Ident)
-	if !ok || id.Name != name {
-		return false
-	}
-	_, isB := p.ObjectOf(id).(*types.Builtin)
-	return isB
 }
 
 func isConstExpr(p *Pass, e ast.Expr) bool {

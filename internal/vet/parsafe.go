@@ -1,11 +1,11 @@
 package vet
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -97,29 +97,18 @@ type parAnchor struct {
 func runParSafe(p *Pass) {
 	parseParLoopsManifest(p)
 	var anchors []*parAnchor
-	for _, f := range p.Pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := cutDirective(c, "parloop")
-				if !ok {
-					continue
-				}
-				name := ""
-				if fields := strings.Fields(rest); len(fields) > 0 {
-					name = fields[0]
-				}
-				if name == "" {
-					p.Reportf(c.Pos(), "//tmi3dvet:parloop anchor without a loop name — name the loop the manifest tracks")
-					continue
-				}
-				anchors = append(anchors, &parAnchor{pos: c.Pos(), name: name})
-			}
+	scanDirectives(p, "parloop", func(c *ast.Comment, rest string) {
+		fields := strings.Fields(rest)
+		if len(fields) == 0 {
+			p.Reportf(c.Pos(), "//tmi3dvet:parloop anchor without a loop name — name the loop the manifest tracks")
+			return
 		}
-	}
+		anchors = append(anchors, &parAnchor{pos: c.Pos(), name: fields[0]})
+	})
 	sup := collectSuppressions(p, "parhazard")
 	if len(anchors) == 0 {
 		if p.anchor == "" {
-			sup.reportStale(p, "parallel hazard")
+			sup.reportStale("parallel hazard")
 		}
 		return
 	}
@@ -138,54 +127,37 @@ func runParSafe(p *Pass) {
 		analyzeParLoop(p, sums, sup, a, target)
 	}
 	if p.anchor == "" {
-		sup.reportStale(p, "parallel hazard")
+		sup.reportStale("parallel hazard")
 	}
 }
 
 // parseParLoopsManifest exports the package's ParLoops = map[string]string
 // literal (loop name -> package import path), if declared.
 func parseParLoopsManifest(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if name.Name != "ParLoops" || i >= len(vs.Values) {
-						continue
-					}
-					lit, ok := vs.Values[i].(*ast.CompositeLit)
-					if !ok {
-						p.Reportf(name.Pos(), "ParLoops must be a literal map[string]string so parsafe can read it statically")
-						return
-					}
-					for _, elt := range lit.Elts {
-						kv, ok := elt.(*ast.KeyValueExpr)
-						if !ok {
-							continue
-						}
-						loop, ok1 := constString(p, kv.Key)
-						pkg, ok2 := constString(p, kv.Value)
-						if !ok1 || !ok2 {
-							p.Reportf(kv.Pos(), "ParLoops entries must be string-constant loop name -> package path")
-							continue
-						}
-						p.exportParEntry(parEntry{
-							name:    loop,
-							pkgPath: pkg,
-							pos:     p.Mod.Fset.Position(kv.Key.Pos()),
-						})
-					}
-					return
-				}
-			}
+	id, lit := manifestLit(p.Pkg, "ParLoops")
+	if id == nil {
+		return
+	}
+	if lit == nil {
+		p.Reportf(id.Pos(), "ParLoops must be a literal map[string]string so parsafe can read it statically")
+		return
+	}
+	for _, elt := range lit.Elts {
+		kv, ok := elt.(*ast.KeyValueExpr)
+		if !ok {
+			continue
 		}
+		loop, ok1 := constString(p.Pkg.Info, kv.Key)
+		pkg, ok2 := constString(p.Pkg.Info, kv.Value)
+		if !ok1 || !ok2 {
+			p.Reportf(kv.Pos(), "ParLoops entries must be string-constant loop name -> package path")
+			continue
+		}
+		p.exportParEntry(parEntry{
+			name:    loop,
+			pkgPath: pkg,
+			pos:     p.Mod.Fset.Position(kv.Key.Pos()),
+		})
 	}
 }
 
@@ -197,21 +169,15 @@ type loopInfo struct {
 
 func collectLoops(p *Pass) map[int]loopInfo {
 	byLine := map[int]loopInfo{}
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
+	for _, fd := range p.Pkg.Funcs {
+		ast.Inspect(fd.Decl.Body, func(n ast.Node) bool {
+			switch n.(type) {
+			case *ast.ForStmt, *ast.RangeStmt:
+				st := n.(ast.Stmt)
+				byLine[p.Mod.Fset.Position(st.Pos()).Line] = loopInfo{stmt: st, fn: fd.Decl}
 			}
-			ast.Inspect(fd.Body, func(n ast.Node) bool {
-				switch n.(type) {
-				case *ast.ForStmt, *ast.RangeStmt:
-					st := n.(ast.Stmt)
-					byLine[p.Mod.Fset.Position(st.Pos()).Line] = loopInfo{stmt: st, fn: fd}
-				}
-				return true
-			})
-		}
+			return true
+		})
 	}
 	return byLine
 }
@@ -291,8 +257,8 @@ func analyzeParLoop(p *Pass, sums *effects, sup *suppressions, a *parAnchor, tar
 		Name:    a.name,
 		File:    loopPos.Filename,
 		Line:    loopPos.Line,
-		Reads:   sortedBoolKeys(s.reads),
-		Writes:  sortedBoolKeys(s.safe),
+		Reads:   sortedKeys(s.reads, strings.Compare),
+		Writes:  sortedKeys(s.safe, strings.Compare),
 		Hazards: s.supd,
 		pos:     p.Mod.Fset.Position(a.pos),
 	})
@@ -303,11 +269,7 @@ func analyzeParLoop(p *Pass, sums *effects, sup *suppressions, a *parAnchor, tar
 // above the for statement) is consulted lazily, so one that excuses nothing
 // goes stale.
 func (s *parScan) hazard(pos token.Pos, format string, args ...any) {
-	if hs := s.sup.at(s.p, pos); hs != nil {
-		s.supd++
-		return
-	}
-	if ls := s.sup.at(s.p, s.loop.stmt.Pos()); ls != nil {
+	if s.sup.at(pos) != nil || s.sup.at(s.loop.stmt.Pos()) != nil {
 		s.supd++
 		return
 	}
@@ -329,23 +291,7 @@ func (s *parScan) iterationLocal(obj types.Object) bool {
 // iteration variable — the partition argument that makes a shared-container
 // write safe.
 func (s *parScan) indexedByIter(target ast.Expr) bool {
-	found := false
-	ast.Inspect(target, func(n ast.Node) bool {
-		ix, ok := n.(*ast.IndexExpr)
-		if !ok {
-			return true
-		}
-		ast.Inspect(ix.Index, func(m ast.Node) bool {
-			if id, ok := m.(*ast.Ident); ok {
-				if obj := s.p.Pkg.Info.Uses[id]; obj != nil && s.iter[obj] {
-					found = true
-				}
-			}
-			return true
-		})
-		return true
-	})
-	return found
+	return indexMentions(s.p, target, func(obj types.Object) bool { return s.iter[obj] })
 }
 
 func hasIndex(target ast.Expr) bool {
@@ -447,7 +393,7 @@ func (s *parScan) scanCall(call *ast.CallExpr) {
 		s.hazard(call.Pos(), "RNG draw inside the loop body: parallel execution makes draw order schedule order — derive one sub-seed per iteration before the loop")
 		return
 	}
-	callee := staticCalleeOf(p, call)
+	callee := staticCallee(p.Pkg.Info, call)
 	if callee != nil && callee.Pkg() == p.Pkg.Types {
 		if csum := s.sums.summarize(callee); csum != nil {
 			s.judgeSummary(call, callee, csum)
@@ -467,21 +413,16 @@ func (s *parScan) scanCall(call *ast.CallExpr) {
 // judgeSummary applies a same-package callee's effect summary at the call.
 func (s *parScan) judgeSummary(call *ast.CallExpr, callee *types.Func, csum *fnEffects) {
 	p := s.p
-	for _, obj := range sortedGlobalObjs(csum.globalWrites) {
+	for _, obj := range sortedKeys(csum.globalWrites, byNameThenPos) {
 		s.hazard(call.Pos(), "%s writes package-level %s, shared by every iteration", callee.Name(), obj.Name())
 	}
-	for _, obj := range sortedGlobalObjs(csum.globals) {
+	for _, obj := range sortedKeys(csum.globals, byNameThenPos) {
 		s.reads[obj.Name()] = true
 	}
 	if csum.rand {
 		s.hazard(call.Pos(), "%s draws from math/rand: parallel execution makes draw order schedule order — derive one sub-seed per iteration before the loop", callee.Name())
 	}
-	idxs := make([]int, 0, len(csum.paramWrites))
-	for idx := range csum.paramWrites {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	for _, idx := range idxs {
+	for _, idx := range sortedKeys(csum.paramWrites, cmp.Compare[int]) {
 		arg := callArgExpr(call, idx)
 		if arg == nil {
 			continue
@@ -582,7 +523,8 @@ func reconcileParLoops(res *Result, entries []parEntry) {
 		}
 		entryByName[e.name] = e
 	}
-	for _, pl := range sortedParLoops(byName) {
+	for _, name := range sortedKeys(byName, strings.Compare) {
+		pl := byName[name]
 		e, ok := entryByName[pl.Name]
 		if !ok {
 			report(pl.pos, "anchored parloop %s has no ParLoops manifest entry: add it to the manifest or delete the anchor", pl.Name)
@@ -592,24 +534,10 @@ func reconcileParLoops(res *Result, entries []parEntry) {
 			report(e.pos, "ParLoops[%q] declares package %q but the anchor is in %q", pl.Name, e.pkgPath, pl.Package)
 		}
 	}
-	names := make([]string, 0, len(entryByName))
-	for n := range entryByName {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
+	for _, n := range sortedKeys(entryByName, strings.Compare) {
 		if _, ok := byName[n]; !ok {
 			e := entryByName[n]
 			report(e.pos, "ParLoops entry %q matches no //tmi3dvet:parloop anchor: dead manifest entry — delete it or anchor the loop", n)
 		}
 	}
-}
-
-func sortedParLoops(m map[string]*ParLoop) []*ParLoop {
-	out := make([]*ParLoop, 0, len(m))
-	for _, pl := range m {
-		out = append(out, pl)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
 }

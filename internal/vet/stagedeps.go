@@ -2,10 +2,8 @@ package vet
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -87,11 +85,9 @@ type manifestEntry struct {
 
 func runStageDeps(p *Pass) {
 	var dispatches []*ast.FuncDecl
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil && isDispatch(fd) {
-				dispatches = append(dispatches, fd)
-			}
+	for _, fd := range p.Pkg.Funcs {
+		if isDispatch(fd.Decl) {
+			dispatches = append(dispatches, fd.Decl)
 		}
 	}
 	if len(dispatches) == 0 {
@@ -109,12 +105,7 @@ func runStageDeps(p *Pass) {
 		checkDispatch(p, fd, cfgType, manifest, sums, gs, sup)
 	}
 	if manifest != nil {
-		names := make([]string, 0, len(manifest.entries))
-		for n := range manifest.entries {
-			names = append(names, n)
-		}
-		sort.Strings(names)
-		for _, n := range names {
+		for _, n := range sortedKeys(manifest.entries, strings.Compare) {
 			if e := manifest.entries[n]; !e.used {
 				p.Reportf(e.pos, "StageKeys entry %q matches no case of a //tmi3dvet:dispatch function: dead manifest stage — delete it or add the stage", n)
 			}
@@ -156,42 +147,21 @@ func findConfigType(p *Pass) *types.Named {
 // manifests are reported: the analyzer (and the cache builder) must be able
 // to read the contract statically.
 func parseStageKeys(p *Pass) *stageManifest {
-	for _, f := range p.Pkg.Files {
-		for _, decl := range f.Decls {
-			gd, ok := decl.(*ast.GenDecl)
-			if !ok || gd.Tok != token.VAR {
-				continue
-			}
-			for _, spec := range gd.Specs {
-				vs, ok := spec.(*ast.ValueSpec)
-				if !ok {
-					continue
-				}
-				for i, name := range vs.Names {
-					if name.Name != "StageKeys" || i >= len(vs.Values) {
-						continue
-					}
-					return parseStageKeysLit(p, name.Pos(), vs.Values[i])
-				}
-			}
-		}
-	}
-	return nil
-}
-
-func parseStageKeysLit(p *Pass, pos token.Pos, v ast.Expr) *stageManifest {
-	lit, ok := v.(*ast.CompositeLit)
-	if !ok {
-		p.Reportf(pos, "StageKeys must be a literal map[string][]string so stagedeps and the cache builder can read it statically")
+	id, lit := manifestLit(p.Pkg, "StageKeys")
+	if id == nil {
 		return nil
 	}
-	m := &stageManifest{pos: pos, entries: map[string]*manifestEntry{}}
+	if lit == nil {
+		p.Reportf(id.Pos(), "StageKeys must be a literal map[string][]string so stagedeps and the cache builder can read it statically")
+		return nil
+	}
+	m := &stageManifest{pos: id.Pos(), entries: map[string]*manifestEntry{}}
 	for _, elt := range lit.Elts {
 		kv, ok := elt.(*ast.KeyValueExpr)
 		if !ok {
 			continue
 		}
-		stage, ok := constString(p, kv.Key)
+		stage, ok := constString(p.Pkg.Info, kv.Key)
 		if !ok {
 			p.Reportf(kv.Key.Pos(), "StageKeys stage name must be a string constant")
 			continue
@@ -203,7 +173,7 @@ func parseStageKeysLit(p *Pass, pos token.Pos, v ast.Expr) *stageManifest {
 			continue
 		}
 		for _, fe := range vlit.Elts {
-			field, ok := constString(p, fe)
+			field, ok := constString(p.Pkg.Info, fe)
 			if !ok {
 				p.Reportf(fe.Pos(), "StageKeys[%q] element must be a string constant naming a Config field", stage)
 				continue
@@ -217,14 +187,6 @@ func parseStageKeysLit(p *Pass, pos token.Pos, v ast.Expr) *stageManifest {
 		m.entries[stage] = entry
 	}
 	return m
-}
-
-func constString(p *Pass, e ast.Expr) (string, bool) {
-	tv, ok := p.Pkg.Info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }
 
 // stageAccum collects one stage's read set.
@@ -253,7 +215,7 @@ func checkDispatch(p *Pass, fd *ast.FuncDecl, cfgType *types.Named, manifest *st
 		// dispatch does not cascade into dead-manifest findings.
 		for _, sc := range cases {
 			for _, e := range sc.names {
-				name, _ := constString(p, e)
+				name, _ := constString(p.Pkg.Info, e)
 				if entry := manifest.entries[name]; entry != nil {
 					entry.used = true
 				}
@@ -281,14 +243,14 @@ func checkDispatch(p *Pass, fd *ast.FuncDecl, cfgType *types.Named, manifest *st
 	}
 	outside := newStageAccum("", fd.Pos())
 	scanReads(p, sums, cfgType, fd.Body, skip, outside)
-	for _, f := range sortedKeys(outside.fields) {
+	for _, f := range sortedKeys(outside.fields, strings.Compare) {
 		p.Reportf(outside.fields[f], "%s reads Config.%s outside a stage case: no stage key covers it — move the read into the case of the stage that needs it", fd.Name.Name, f)
 	}
 
 	fieldSet := configFieldSet(cfgType)
 	for _, sc := range cases {
 		for _, e := range sc.names {
-			name, _ := constString(p, e)
+			name, _ := constString(p.Pkg.Info, e)
 			acc := newStageAccum(name, e.Pos())
 			for _, st := range sc.clause.Body {
 				scanReads(p, sums, cfgType, st, nil, acc)
@@ -298,8 +260,8 @@ func checkDispatch(p *Pass, fd *ast.FuncDecl, cfgType *types.Named, manifest *st
 				Package:      p.Pkg.Path,
 				Func:         fd.Name.Name,
 				Stage:        acc.name,
-				ConfigFields: sortedKeys(acc.fields),
-				Globals:      sortedGlobalNames(acc.globals),
+				ConfigFields: sortedKeys(acc.fields, strings.Compare),
+				Globals:      globalNames(acc.globals),
 			})
 		}
 	}
@@ -318,7 +280,7 @@ func stageSwitch(p *Pass, fd *ast.FuncDecl) (*ast.SwitchStmt, []stageCase) {
 		}
 		for _, stmt := range s.Body.List {
 			if cc := stmt.(*ast.CaseClause); len(cc.List) > 0 {
-				if _, ok := constString(p, cc.List[0]); ok {
+				if _, ok := constString(p.Pkg.Info, cc.List[0]); ok {
 					sw = s
 					return false
 				}
@@ -334,7 +296,7 @@ func stageSwitch(p *Pass, fd *ast.FuncDecl) (*ast.SwitchStmt, []stageCase) {
 		cc := stmt.(*ast.CaseClause)
 		sc := stageCase{clause: cc}
 		for _, e := range cc.List {
-			if _, ok := constString(p, e); !ok {
+			if _, ok := constString(p.Pkg.Info, e); !ok {
 				p.Reportf(e.Pos(), "stage case in %s is not a string constant: name each stage as the DAG and StageKeys do", fd.Name.Name)
 				continue
 			}
@@ -427,20 +389,15 @@ func reportStage(p *Pass, manifest *stageManifest, fieldSet map[string]bool, acc
 	if manifest != nil {
 		entry := manifest.entries[acc.name]
 		if entry == nil {
-			p.Reportf(acc.pos, "stage %q has no StageKeys entry: the incremental cache cannot key this stage — add StageKeys[%q] covering %s", acc.name, acc.name, fieldList(sortedKeys(acc.fields)))
+			p.Reportf(acc.pos, "stage %q has no StageKeys entry: the incremental cache cannot key this stage — add StageKeys[%q] covering %s", acc.name, acc.name, fieldList(sortedKeys(acc.fields, strings.Compare)))
 		} else {
 			entry.used = true
-			for _, f := range sortedKeys(acc.fields) {
+			for _, f := range sortedKeys(acc.fields, strings.Compare) {
 				if _, ok := entry.fields[f]; !ok {
 					p.Reportf(acc.fields[f], "stage %q reads Config.%s but StageKeys[%q] omits it: a cache keyed by the manifest would serve stale %s artifacts when %s changes — add it to the stage key", acc.name, f, acc.name, acc.name, f)
 				}
 			}
-			declared := make([]string, 0, len(entry.fields))
-			for f := range entry.fields {
-				declared = append(declared, f)
-			}
-			sort.Strings(declared)
-			for _, f := range declared {
+			for _, f := range sortedKeys(entry.fields, strings.Compare) {
 				switch {
 				case !fieldSet[f]:
 					p.Reportf(entry.fields[f], "StageKeys[%q] names %s, which is not a field of Config", acc.name, f)
@@ -453,16 +410,12 @@ func reportStage(p *Pass, manifest *stageManifest, fieldSet map[string]bool, acc
 	// Ambient state: a read the stage key cannot cover. Only globals the
 	// classifier cannot prove key-addressed or immutable are findings;
 	// //tmi3dvet:global at the site (audited by globalmut) is honored.
-	for _, obj := range sortedGlobalObjs(acc.globals) {
+	for _, obj := range sortedKeys(acc.globals, byNameThenPos) {
 		switch gs.classOf(obj) {
 		case gcReadOnly, gcSync, gcOncePublished, gcGuardedMap:
 			continue
 		}
-		pos := acc.globals[obj]
-		if sup.at(p, pos) != nil {
-			continue
-		}
-		p.Reportf(pos, "stage %q reads ambient package state %s that no Config-derived key can cover: make it key-addressed behind a sync.Once or annotate //tmi3dvet:global <reason>", acc.name, obj.Name())
+		sup.report(acc.globals[obj], "stage %q reads ambient package state %s that no Config-derived key can cover: make it key-addressed behind a sync.Once or annotate //tmi3dvet:global <reason>", acc.name, obj.Name())
 	}
 }
 
@@ -517,15 +470,15 @@ func scanReads(p *Pass, sums *effects, cfgType *types.Named, root ast.Node, skip
 				}
 			}
 		case *ast.CallExpr:
-			if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
+			if callee := staticCallee(p.Pkg.Info, n); callee != nil && callee.Pkg() == p.Pkg.Types {
 				if sum := sums.summarize(callee); sum != nil {
 					if sum.allFields {
 						addAll(n.Pos())
 					}
-					for _, fname := range sortedBoolKeys(sum.fields) {
+					for _, fname := range sortedKeys(sum.fields, strings.Compare) {
 						addField(fname, n.Pos())
 					}
-					for _, obj := range sortedGlobalObjs(sum.globals) {
+					for _, obj := range sortedKeys(sum.globals, byNameThenPos) {
 						addGlobal(obj, n.Pos())
 					}
 				}
@@ -557,42 +510,9 @@ func fieldOfConfig(cfgType *types.Named, f *types.Var) bool {
 	return false
 }
 
-func sortedKeys(m map[string]token.Pos) []string {
+func globalNames(m map[types.Object]token.Pos) []string {
 	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedBoolKeys(m map[string]bool) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedGlobalObjs(m map[types.Object]token.Pos) []types.Object {
-	out := make([]types.Object, 0, len(m))
-	for o := range m {
-		out = append(out, o)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Name() != out[j].Name() {
-			return out[i].Name() < out[j].Name()
-		}
-		return out[i].Pos() < out[j].Pos()
-	})
-	return out
-}
-
-func sortedGlobalNames(m map[types.Object]token.Pos) []string {
-	objs := sortedGlobalObjs(m)
-	out := make([]string, 0, len(objs))
-	for _, o := range objs {
+	for _, o := range sortedKeys(m, byNameThenPos) {
 		out = append(out, o.Name())
 	}
 	return out

@@ -25,6 +25,7 @@ type suppression struct {
 }
 
 type suppressions struct {
+	pass      *Pass
 	directive string
 	audit     bool                            // this pass owns the bare/stale audit (directiveOwner)
 	byLine    map[string]map[int]*suppression // filename -> line -> suppression
@@ -63,38 +64,44 @@ func cutDirective(c *ast.Comment, directive string) (rest string, ok bool) {
 	return rest, true
 }
 
+// scanDirectives calls fn for every //tmi3dvet:<directive> line comment in
+// the package, in file and comment order, with the directive's payload.
+func scanDirectives(p *Pass, directive string, fn func(c *ast.Comment, rest string)) {
+	for _, f := range p.Pkg.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if rest, ok := cutDirective(c, directive); ok {
+					fn(c, rest)
+				}
+			}
+		}
+	}
+}
+
 // collectSuppressions gathers every //tmi3dvet:<directive> comment in the
 // package. The bare-directive report (and, later, reportStale) fires only
 // when the calling analyzer owns the directive per directiveOwner, so a
 // consulting analyzer gets the annotations without duplicating the audit.
 func collectSuppressions(p *Pass, directive string) *suppressions {
 	audit := directiveOwner[directive] == p.check
-	s := &suppressions{directive: directive, audit: audit, byLine: map[string]map[int]*suppression{}}
-	for _, f := range p.Pkg.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				rest, ok := cutDirective(c, directive)
-				if !ok {
-					continue
-				}
-				pos := p.Mod.Fset.Position(c.Pos())
-				sup := &suppression{
-					pos:    c.Pos(),
-					file:   pos.Filename,
-					line:   pos.Line,
-					reason: strings.TrimSpace(rest),
-				}
-				if sup.reason == "" && audit {
-					p.Reportf(c.Pos(), "//tmi3dvet:%s suppression without a reason — say why the site is safe", directive)
-				}
-				if s.byLine[sup.file] == nil {
-					s.byLine[sup.file] = map[int]*suppression{}
-				}
-				s.byLine[sup.file][sup.line] = sup
-				s.all = append(s.all, sup)
-			}
+	s := &suppressions{pass: p, directive: directive, audit: audit, byLine: map[string]map[int]*suppression{}}
+	scanDirectives(p, directive, func(c *ast.Comment, rest string) {
+		pos := p.Mod.Fset.Position(c.Pos())
+		sup := &suppression{
+			pos:    c.Pos(),
+			file:   pos.Filename,
+			line:   pos.Line,
+			reason: strings.TrimSpace(rest),
 		}
-	}
+		if sup.reason == "" && audit {
+			p.Reportf(c.Pos(), "//tmi3dvet:%s suppression without a reason — say why the site is safe", directive)
+		}
+		if s.byLine[sup.file] == nil {
+			s.byLine[sup.file] = map[int]*suppression{}
+		}
+		s.byLine[sup.file][sup.line] = sup
+		s.all = append(s.all, sup)
+	})
 	return s
 }
 
@@ -104,8 +111,8 @@ func collectSuppressions(p *Pass, directive string) *suppressions {
 // second "stale" report for the same comment would be noise. A reasonless
 // match still suppresses the site diagnostic: the annotation pins the site,
 // the missing reason is the one actionable finding.
-func (s *suppressions) at(p *Pass, pos token.Pos) *suppression {
-	where := p.Mod.Fset.Position(pos)
+func (s *suppressions) at(pos token.Pos) *suppression {
+	where := s.pass.Mod.Fset.Position(pos)
 	lines := s.byLine[where.Filename]
 	if lines == nil {
 		return nil
@@ -121,15 +128,22 @@ func (s *suppressions) at(p *Pass, pos token.Pos) *suppression {
 	return nil
 }
 
+// report records a diagnostic at pos unless a suppression covers the site.
+func (s *suppressions) report(pos token.Pos, format string, args ...any) {
+	if s.at(pos) == nil {
+		s.pass.Reportf(pos, format, args...)
+	}
+}
+
 // reportStale flags suppressions that matched no site this run; a no-op for
 // passes that merely consult a directive another analyzer owns.
-func (s *suppressions) reportStale(p *Pass, what string) {
+func (s *suppressions) reportStale(what string) {
 	if !s.audit {
 		return
 	}
 	for _, sup := range s.all {
 		if !sup.used && sup.reason != "" {
-			p.Reportf(sup.pos, "stale //tmi3dvet:%s suppression: no %s on this or the next line", s.directive, what)
+			s.pass.Reportf(sup.pos, "stale //tmi3dvet:%s suppression: no %s on this or the next line", s.directive, what)
 		}
 	}
 }
@@ -137,7 +151,7 @@ func (s *suppressions) reportStale(p *Pass, what string) {
 // fieldSuppression finds a //tmi3dvet:<directive> comment in a struct
 // field's doc or trailing comment group. Used by wiresafe, where the
 // annotation attaches to a field declaration rather than a statement.
-func fieldSuppression(p *Pass, directive string, field *ast.Field) (reason string, pos token.Pos, ok bool) {
+func fieldSuppression(directive string, field *ast.Field) (reason string, pos token.Pos, ok bool) {
 	for _, cg := range []*ast.CommentGroup{field.Doc, field.Comment} {
 		if cg == nil {
 			continue

@@ -10,7 +10,8 @@
 //
 //   - maporder: range over a map in a deterministic-output package (the
 //     netlist.AddInstance pin-order bug of PR 4), including the
-//     order-dependent float-summation variant.
+//     order-dependent float-summation variant. The set is the flow kernels
+//     plus lint and equiv, whose reports reach the wire.
 //   - lockorder: cycles in the interprocedural mutex acquisition graph (the
 //     serve job-table / metrics-registry AB-BA inversion of PR 4).
 //   - seedpurity: wall-clock or global-RNG inputs inside flow-deterministic
@@ -47,6 +48,14 @@
 //     (branch-sensitive through the err-check idiom), and blocking I/O
 //     while holding a mutex.
 //
+// The analyzers share one kernel instead of private copies of it: the
+// loader's function index (Package.Funcs, Package.Body, Module.declOf), one
+// callee resolver (staticCallee), one sync recognizer (syncTypeName,
+// syncCall), one manifest finder (manifestLit), one sorted-keys helper
+// (kernel.go), and one directive scanner and suppressed-report path
+// (suppress.go). Only the path-sensitive statement walkers of lockorder and
+// ctxdisc stay per-analyzer: each treats branch exits its own way.
+//
 // cmd/tmi3dvet runs the suite over the whole module; scripts/check.sh gates
 // CI on a clean report.
 package vet
@@ -72,9 +81,11 @@ var All = []*Analyzer{MapOrder, LockOrder, SeedPurity, StageDeps, GlobalMut, Par
 
 // deterministicPkgs lists the module-relative package paths whose output
 // feeds the byte-identity contract: any map-iteration order or impure seed
-// inside them shows up as cross-process result divergence. flow itself is
-// excluded — its time.Now calls feed the observational StageTimes profile,
-// which is deliberately outside the encoded Result.
+// inside them shows up as cross-process result divergence. lint and equiv
+// belong here because their reports reach the wire as Result.LintReports,
+// EquivReports and LibCheck. flow itself is excluded — its time.Now calls
+// feed the observational StageTimes profile, which is deliberately outside
+// the encoded Result.
 var deterministicPkgs = []string{
 	"internal/netlist",
 	"internal/place",
@@ -87,6 +98,8 @@ var deterministicPkgs = []string{
 	"internal/rcx",
 	"internal/liberty",
 	"internal/report",
+	"internal/lint",
+	"internal/equiv",
 }
 
 // Deterministic reports whether the import path carries the byte-identity

@@ -254,6 +254,8 @@ func TestDeterministicList(t *testing.T) {
 		"tmi3d/internal/place":   true,
 		"tmi3d/internal/netlist": true,
 		"tmi3d/internal/report":  true,
+		"tmi3d/internal/lint":    true,  // reports reach the wire as Result.LintReports
+		"tmi3d/internal/equiv":   true,  // reports reach the wire as Result.EquivReports
 		"tmi3d/internal/flow":    false, // StageTimes wall-clock is deliberate
 		"tmi3d/internal/serve":   false,
 		"tmi3d/cmd/tmi3d":        false,

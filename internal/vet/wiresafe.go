@@ -2,7 +2,6 @@ package vet
 
 import (
 	"go/ast"
-	"go/constant"
 	"go/token"
 	"go/types"
 	"reflect"
@@ -98,24 +97,8 @@ func runWireSafe(p *Pass) {
 // and parses its entries.
 func parseWireManifest(mod *Module) *wireManifest {
 	for _, pkg := range mod.Pkgs {
-		for _, f := range pkg.Files {
-			for _, decl := range f.Decls {
-				gd, ok := decl.(*ast.GenDecl)
-				if !ok || gd.Tok != token.VAR {
-					continue
-				}
-				for _, spec := range gd.Specs {
-					vs, ok := spec.(*ast.ValueSpec)
-					if !ok || len(vs.Names) != 1 || vs.Names[0].Name != "WireTypes" || len(vs.Values) != 1 {
-						continue
-					}
-					cl, ok := vs.Values[0].(*ast.CompositeLit)
-					if !ok {
-						continue
-					}
-					return parseWireEntries(pkg, cl)
-				}
-			}
+		if _, cl := manifestLit(pkg, "WireTypes"); cl != nil {
+			return parseWireEntries(pkg, cl)
 		}
 	}
 	return nil
@@ -128,7 +111,7 @@ func parseWireEntries(pkg *Package, cl *ast.CompositeLit) *wireManifest {
 		if !ok {
 			continue
 		}
-		key, ok := pkgConstString(pkg, kv.Key)
+		key, ok := constString(pkg.Info, kv.Key)
 		if !ok {
 			continue
 		}
@@ -138,7 +121,7 @@ func parseWireEntries(pkg *Package, cl *ast.CompositeLit) *wireManifest {
 		}
 		if vl, ok := kv.Value.(*ast.CompositeLit); ok {
 			for _, a := range vl.Elts {
-				if s, ok := pkgConstString(pkg, a); ok {
+				if s, ok := constString(pkg.Info, a); ok {
 					e.attrs = append(e.attrs, s)
 				}
 			}
@@ -146,14 +129,6 @@ func parseWireEntries(pkg *Package, cl *ast.CompositeLit) *wireManifest {
 		man.entries = append(man.entries, e)
 	}
 	return man
-}
-
-func pkgConstString(pkg *Package, e ast.Expr) (string, bool) {
-	tv, ok := pkg.Info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
-		return "", false
-	}
-	return constant.StringVal(tv.Value), true
 }
 
 // checkWireManifest validates the manifest itself from the declaring
@@ -310,7 +285,7 @@ func checkCodecType(p *Pass, named *types.Named, st *ast.StructType, mar, unm *t
 	uset := fieldsWrittenBy(p, named, unm)
 	tname := named.Obj().Name()
 	for _, field := range st.Fields.List {
-		reason, dpos, annotated := fieldSuppression(p, "nonwire", field)
+		reason, dpos, annotated := fieldSuppression("nonwire", field)
 		for _, name := range field.Names {
 			obj := p.Pkg.Info.Defs[name]
 			if obj == nil {
@@ -342,7 +317,7 @@ func checkCodecType(p *Pass, named *types.Named, st *ast.StructType, mar, unm *t
 func checkTagsType(p *Pass, named *types.Named, st *ast.StructType, fact *WireFact) {
 	tname := named.Obj().Name()
 	for _, field := range st.Fields.List {
-		reason, dpos, annotated := fieldSuppression(p, "nonwire", field)
+		reason, dpos, annotated := fieldSuppression("nonwire", field)
 		tag := jsonTagName(field)
 		for _, name := range field.Names {
 			how := ""
@@ -390,36 +365,15 @@ func fieldsReadBy(p *Pass, named *types.Named, root *types.Func) map[types.Objec
 			fieldOwner[s.Field(i)] = true
 		}
 	}
-	bodies := funcBodies(p)
-	seen := map[*types.Func]bool{}
-	work := []*types.Func{root}
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		if seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		body := bodies[fn]
-		if body == nil {
-			continue
-		}
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				if sel := p.Pkg.Info.Selections[n]; sel != nil {
-					if f, ok := sel.Obj().(*types.Var); ok && fieldOwner[f] {
-						covered[f] = true
-					}
-				}
-			case *ast.CallExpr:
-				if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
-					work = append(work, callee)
+	inspectReachable(p, root, func(n ast.Node) {
+		if n, ok := n.(*ast.SelectorExpr); ok {
+			if sel := p.Pkg.Info.Selections[n]; sel != nil {
+				if f, ok := sel.Obj().(*types.Var); ok && fieldOwner[f] {
+					covered[f] = true
 				}
 			}
-			return true
-		})
-	}
+		}
+	})
 	return covered
 }
 
@@ -449,52 +403,32 @@ func fieldsWrittenBy(p *Pass, named *types.Named, root *types.Func) map[types.Ob
 			return true
 		})
 	}
-	bodies := funcBodies(p)
-	seen := map[*types.Func]bool{}
-	work := []*types.Func{root}
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		if seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		body := bodies[fn]
-		if body == nil {
-			continue
-		}
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for _, lhs := range n.Lhs {
-					record(lhs)
-				}
-			case *ast.IncDecStmt:
+	inspectReachable(p, root, func(n ast.Node) {
+		switch n := n.(type) {
+		case *ast.AssignStmt:
+			for _, lhs := range n.Lhs {
+				record(lhs)
+			}
+		case *ast.IncDecStmt:
+			record(n.X)
+		case *ast.UnaryExpr:
+			if n.Op == token.AND {
 				record(n.X)
-			case *ast.UnaryExpr:
-				if n.Op == token.AND {
-					record(n.X)
-				}
-			case *ast.CompositeLit:
-				if t := p.TypeOf(n); t != nil && types.Identical(derefType(t), named) {
-					for _, elt := range n.Elts {
-						if kv, ok := elt.(*ast.KeyValueExpr); ok {
-							if id, ok := kv.Key.(*ast.Ident); ok {
-								if f := fieldByName[id.Name]; f != nil {
-									written[f] = true
-								}
+			}
+		case *ast.CompositeLit:
+			if t := p.TypeOf(n); t != nil && types.Identical(derefType(t), named) {
+				for _, elt := range n.Elts {
+					if kv, ok := elt.(*ast.KeyValueExpr); ok {
+						if id, ok := kv.Key.(*ast.Ident); ok {
+							if f := fieldByName[id.Name]; f != nil {
+								written[f] = true
 							}
 						}
 					}
 				}
-			case *ast.CallExpr:
-				if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
-					work = append(work, callee)
-				}
 			}
-			return true
-		})
-	}
+		}
+	})
 	return written
 }
 
@@ -502,49 +436,24 @@ func fieldsWrittenBy(p *Pass, named *types.Named, root *types.Func) map[types.Ob
 // a non-finite type marshals through to be audited //tmi3dvet:finite — the
 // safe default is a NaN/Inf-aware codec type like sta.nfFloat.
 func checkNonfiniteWireStruct(p *Pass, named *types.Named, mar *types.Func) {
-	bodies := funcBodies(p)
-	seen := map[*types.Func]bool{}
 	structs := map[*types.Named]bool{}
-	work := []*types.Func{mar}
-	for len(work) > 0 {
-		fn := work[len(work)-1]
-		work = work[:len(work)-1]
-		if seen[fn] {
-			continue
-		}
-		seen[fn] = true
-		body := bodies[fn]
-		if body == nil {
-			continue
-		}
-		ast.Inspect(body, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if t, ok := derefType(p.TypeOf(n)).(*types.Named); ok && t != named && t.Obj().Pkg() == p.Pkg.Types {
-					if _, isStruct := t.Underlying().(*types.Struct); isStruct {
-						structs[t] = true
-					}
-				}
-			case *ast.CallExpr:
-				if callee := staticCalleeOf(p, n); callee != nil && callee.Pkg() == p.Pkg.Types {
-					work = append(work, callee)
+	inspectReachable(p, mar, func(n ast.Node) {
+		if n, ok := n.(*ast.CompositeLit); ok {
+			if t, ok := derefType(p.TypeOf(n)).(*types.Named); ok && t != named && t.Obj().Pkg() == p.Pkg.Types {
+				if _, isStruct := t.Underlying().(*types.Struct); isStruct {
+					structs[t] = true
 				}
 			}
-			return true
-		})
-	}
-	var order []*types.Named
-	for ws := range structs {
-		order = append(order, ws)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].Obj().Name() < order[j].Obj().Name() })
-	for _, ws := range order {
+		}
+	})
+	byName := func(a, b *types.Named) int { return strings.Compare(a.Obj().Name(), b.Obj().Name()) }
+	for _, ws := range sortedKeys(structs, byName) {
 		_, st := findStructDecl(p.Pkg, ws.Obj().Name())
 		if st == nil {
 			continue
 		}
 		for _, field := range st.Fields.List {
-			reason, dpos, annotated := fieldSuppression(p, "finite", field)
+			reason, dpos, annotated := fieldSuppression("finite", field)
 			for _, name := range field.Names {
 				obj := p.Pkg.Info.Defs[name]
 				if obj == nil {
@@ -655,7 +564,7 @@ func checkNonfiniteCopiesFile(p *Pass, pkg *Package, f *ast.File, nf, plain map[
 				}
 			}
 		case *ast.CompositeLit:
-			t, ok := derefType(typeIn(pkg, n)).(*types.Named)
+			t, ok := derefType(pkg.Info.TypeOf(n)).(*types.Named)
 			if !ok || !plain[t] {
 				return true
 			}
@@ -689,13 +598,6 @@ func checkNonfiniteCopiesFile(p *Pass, pkg *Package, f *ast.File, nf, plain map[
 		}
 		return true
 	})
-}
-
-func typeIn(pkg *Package, e ast.Expr) types.Type {
-	if tv, ok := pkg.Info.Types[e]; ok {
-		return tv.Type
-	}
-	return nil
 }
 
 // checkUnlistedCodecs reports struct types with a JSON codec that the
